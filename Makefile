@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: test check rebaseline-virt rebaseline-bench serve
+.PHONY: test check bench-check rebaseline-virt rebaseline-bench serve
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -14,6 +14,15 @@ check:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short ./...
+
+# The benchmark's own checks, mirroring the two perfbench CI steps: the
+# nested module's vet and tests, then a short votes-v32 run whose last
+# JSON line must report a correct verdict.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	out=$$(bash perfbench/run.sh --workload votes-v32 --seed 1 --seconds 5 --trace 0); \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true'
 
 # Refresh VIRT_baseline.json — the armed 0.1% virtual-metric gate.
 # Must match the "Virtual-metric regression gate" CI step exactly:

@@ -12,9 +12,9 @@ import (
 
 // DefaultVoteScaleSizes is the swept validator-set range. The paper fixes
 // five validators per chain; the shared vote-verification engine makes
-// larger sets affordable (O(V) signature checks per block instead of
-// O(V^2)), so set size becomes an experiment axis like topology, regions
-// and fault windows.
+// larger sets affordable (O(V) signatures per block and no per-receiver
+// checks, instead of O(V^2) checks), so set size becomes an experiment
+// axis like topology, regions and fault windows.
 var DefaultVoteScaleSizes = []int{4, 8, 12, 16, 24, 32}
 
 // VoteScalePoint summarizes one validator-set size across seeds.

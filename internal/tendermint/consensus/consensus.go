@@ -203,11 +203,9 @@ type Engine struct {
 	// the ordinal-indexed round tallies.
 	ordinals map[valkey.Address]int
 
-	// votes is the chain's shared vote-verification engine: every
-	// gossiped vote's signature is checked exactly once chain-wide.
+	// votes is the chain's shared vote-verification engine: castVote
+	// signs through it, so honest votes are admitted as they are signed.
 	votes *votesig.Cache
-	// signBuf is the pooled sign-bytes buffer for castVote.
-	signBuf []byte
 
 	// votePool recycles gossiped vote allocations. A cast vote stays
 	// live for its height only (every receiver drops mismatched-height
@@ -507,8 +505,7 @@ func (e *Engine) castVote(n *node, vt types.SignedMsgType, h int64, r int32, blo
 		Timestamp:        e.sched.Now(),
 		ValidatorAddress: n.addr,
 	}
-	e.signBuf = types.AppendVoteSignBytes(e.signBuf[:0], e.cfg.ChainID, &pv.v)
-	pv.v.Signature = n.key.Sign(e.signBuf)
+	e.votes.Sign(n.key, &pv.v)
 	gen := pv.gen
 	for _, dst := range e.nodes {
 		dst := dst
@@ -526,11 +523,12 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 		return
 	}
 	// Resolve the claimed validator in the canonical set, then verify the
-	// signature through the shared engine: the first receiver performs
-	// the ed25519 check, every later receiver of the same vote hits the
-	// cache — O(V) checks per block instead of O(V^2). Forged, tampered
-	// and stranger votes are still rejected: only verified tuples enter
-	// the cache, and a hit requires byte-identical signatures.
+	// signature through the shared engine. castVote admitted every honest
+	// vote when it signed it with the key this set binds to the address,
+	// so each delivery is a cache hit and no receiver runs ed25519.
+	// Forged, tampered, stranger and re-pointed votes are still rejected:
+	// a hit requires a byte-identical signature over the same tuple, and
+	// anything else takes the full check.
 	val := e.valset.ByAddress(v.ValidatorAddress)
 	if val == nil {
 		return

@@ -225,8 +225,8 @@ func AppendVoteSignBytes(dst []byte, chainID string, v *Vote) []byte {
 }
 
 // VoteVerifier abstracts vote-signature verification so a chain-scoped
-// cache (internal/tendermint/votesig) can admit each gossiped vote's
-// ed25519 signature exactly once chain-wide. Implementations MUST only
+// cache (internal/tendermint/votesig) can skip the ed25519 check for
+// votes it has already admitted. Implementations MUST only
 // report true for signatures that verify under pub; callers MUST resolve
 // pub from the claimed validator address in the chain's canonical set.
 type VoteVerifier interface {

@@ -5,20 +5,29 @@
 // (each of the ~2V votes per round is delivered to all V nodes). The
 // votes themselves are chain-global facts: a vote's sign bytes depend
 // only on (chainID, type, height, round, blockID) and its signature on
-// the validator's key, so one successful verification holds for every
-// receiver. The Cache records each *verified* (validator, height, round,
-// type, blockID) tuple together with the exact signature bytes that
-// passed; later deliveries of the same vote hit the cache and skip the
-// curve operation, pinning per-block verification work to O(V).
+// the validator's key, so one valid signature holds for every receiver.
+// The Cache records each admitted (validator, height, round, type,
+// blockID) tuple together with its exact signature bytes; a delivery
+// whose signature is byte-identical to the admitted one is a hit and
+// skips the curve operation.
 //
-// Safety: the cache stores only tuples that passed a full ed25519 check,
-// and a hit additionally requires the candidate signature to be
-// byte-identical to the admitted one — a tampered or forged signature
-// over a cached tuple never short-circuits; it falls through to a full
-// verification (and fails). Callers must resolve the public key from the
-// claimed validator address in the chain's canonical validator set,
-// otherwise a cached tuple could vouch for a key it was never checked
-// against.
+// A tuple is admitted in one of two ways. Honest in-process validators
+// sign through Cache.Sign, which admits the tuple with the signature it
+// just produced, so every delivery of an honest vote — to the signer
+// itself, to the other V-1 nodes and to light clients — is a hit and the
+// only curve work left is signing. Any other vote is admitted by
+// VerifyVote after it passes a full ed25519 check.
+//
+// Safety: admitting at sign time is sound because ed25519 is correct (a
+// signature produced by a key always verifies under its public key) and
+// the signer uses the key the chain's canonical validator set binds to
+// the vote's validator address. Receivers resolve the public key from
+// that same address in the same set, so the check the sign-time entry
+// stands in for would have succeeded. A hit requires the candidate
+// signature to be byte-identical to the admitted one: a forged,
+// tampered, stranger or re-pointed vote (another block ID under the
+// same signature) never matches an admitted entry, falls through to a
+// full verification, and fails.
 //
 // The same engine backs the batched VerifyCommit fast path: a block's
 // commit signatures are byte-for-byte the precommit votes the live path
@@ -29,6 +38,7 @@ package votesig
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 
 	"ibcbench/internal/tendermint/types"
 	"ibcbench/internal/valkey"
@@ -55,6 +65,11 @@ type Stats struct {
 	Hits uint64
 	// Rejected counts signatures that failed the full check.
 	Rejected uint64
+	// Signed counts votes signed and admitted through Sign.
+	Signed uint64
+	// ReadOnlyVerifications counts full checks performed by ReadOnly
+	// views (their cache misses).
+	ReadOnlyVerifications uint64
 	// Size is the number of admitted tuples currently retained.
 	Size int
 }
@@ -67,9 +82,11 @@ type Stats struct {
 type Cache struct {
 	mu       sync.RWMutex
 	chainID  string
-	admitted map[key][]byte // verified tuple -> admitted signature bytes
+	admitted map[key][]byte // admitted tuple -> its signature bytes
 	buf      []byte         // pooled sign-bytes buffer (AppendVoteSignBytes)
 	stats    Stats
+	// roVerifications is bumped by ReadOnly views on other partitions.
+	roVerifications atomic.Uint64
 }
 
 // New creates the cache for one chain.
@@ -87,11 +104,26 @@ func keyOf(v *types.Vote) key {
 	}
 }
 
+// Sign signs v with key and admits the vote's tuple with the resulting
+// signature, so every later delivery of v is a hit. The caller must sign
+// with the key the chain's canonical validator set binds to
+// v.ValidatorAddress. The signature is a fresh slice that nothing else
+// writes to, so the cache keeps it without copying.
+func (c *Cache) Sign(key *valkey.PrivKey, v *types.Vote) {
+	c.buf = types.AppendVoteSignBytes(c.buf[:0], c.chainID, v)
+	v.Signature = key.Sign(c.buf)
+	c.stats.Signed++
+	c.mu.Lock()
+	c.admitted[keyOf(v)] = v.Signature
+	c.mu.Unlock()
+}
+
 // VerifyVote implements types.VoteVerifier: it reports whether the vote's
 // signature is valid under pub, performing the ed25519 check at most once
-// chain-wide per distinct vote. Votes for a foreign chain ID never touch
-// the cache (they are verified directly) — a cache is bound to the chain
-// whose sign-bytes domain it admitted signatures under.
+// chain-wide per distinct vote and never for a vote admitted by Sign.
+// Votes for a foreign chain ID never touch the cache (they are verified
+// directly) — a cache is bound to the chain whose sign-bytes domain it
+// admitted signatures under.
 func (c *Cache) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) bool {
 	if chainID != c.chainID {
 		return c.VerifyDirect(chainID, v, pub)
@@ -148,6 +180,7 @@ func (c *Cache) PruneBelow(h int64) {
 // Stats snapshots the verification counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
+	s.ReadOnlyVerifications = c.roVerifications.Load()
 	c.mu.RLock()
 	s.Size = len(c.admitted)
 	c.mu.RUnlock()
@@ -158,8 +191,9 @@ func (c *Cache) Stats() Stats {
 // that run on another chain's partition: a hit requires an admitted
 // byte-identical signature (lock-guarded read), a miss falls back to a
 // full ed25519 check against a private sign-bytes buffer. It never
-// admits tuples and never touches the owner's counters, so the owning
-// engine's verification stats stay single-writer.
+// admits tuples; its full checks are counted only in the owner's atomic
+// ReadOnlyVerifications, so the owner's other counters stay
+// single-writer.
 type ReadOnly struct {
 	c   *Cache
 	buf []byte
@@ -183,5 +217,6 @@ func (r *ReadOnly) VerifyVote(chainID string, v *types.Vote, pub valkey.PubKey) 
 		}
 	}
 	r.buf = types.AppendVoteSignBytes(r.buf[:0], chainID, v)
+	r.c.roVerifications.Add(1)
 	return pub.Verify(r.buf, v.Signature)
 }

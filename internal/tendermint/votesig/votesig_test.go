@@ -1,9 +1,13 @@
 package votesig_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"ibcbench/internal/chain"
+	"ibcbench/internal/netem"
+	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/types"
 	"ibcbench/internal/tendermint/votesig"
 	"ibcbench/internal/valkey"
@@ -166,6 +170,116 @@ func TestPruneBelow(t *testing.T) {
 	v := mkVote(key, types.PrevoteType, 2, 0, types.BlockID{Hash: types.Hash{2}})
 	if !c.VerifyVote(chainID, v, key.Pub()) {
 		t.Fatal("re-delivered pruned vote rejected")
+	}
+}
+
+// --- admission at sign time ------------------------------------------------
+
+func TestSignAdmits(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	v := &types.Vote{
+		Type:             types.PrecommitType,
+		Height:           4,
+		BlockID:          types.BlockID{Hash: types.Hash{4}},
+		ValidatorAddress: key.Pub().Address(),
+	}
+	c.Sign(key, v)
+	if !key.Pub().Verify(types.VoteSignBytes(chainID, v), v.Signature) {
+		t.Fatal("Sign produced an invalid signature")
+	}
+	for i := 0; i < 3; i++ {
+		if !c.VerifyVote(chainID, v, key.Pub()) {
+			t.Fatalf("signed vote rejected on delivery %d", i)
+		}
+	}
+	st := c.Stats()
+	if st.Signed != 1 || st.Verifications != 0 || st.Hits != 3 || st.Size != 1 {
+		t.Fatalf("signed vote not admitted: %+v", st)
+	}
+}
+
+func TestReadOnlyCountsFullChecks(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	signed := &types.Vote{Type: types.PrevoteType, Height: 1, ValidatorAddress: key.Pub().Address()}
+	c.Sign(key, signed)
+	ro := c.ReadOnly()
+	if !ro.VerifyVote(chainID, signed, key.Pub()) {
+		t.Fatal("admitted vote rejected by read-only view")
+	}
+	if st := c.Stats(); st.ReadOnlyVerifications != 0 {
+		t.Fatalf("read-only hit ran a full check: %+v", st)
+	}
+	miss := mkVote(key, types.PrevoteType, 2, 0, types.BlockID{})
+	if !ro.VerifyVote(chainID, miss, key.Pub()) {
+		t.Fatal("valid unadmitted vote rejected by read-only view")
+	}
+	st := c.Stats()
+	if st.ReadOnlyVerifications != 1 || st.Verifications != 0 || st.Size != 1 {
+		t.Fatalf("read-only miss not counted or admitted: %+v", st)
+	}
+}
+
+// TestReadOnlyViewsConcurrentWithSign runs read-only views on several
+// goroutines while the owner signs, as partitions do under parallel runs.
+func TestReadOnlyViewsConcurrentWithSign(t *testing.T) {
+	c := votesig.New(chainID)
+	key := valkey.Derive(chainID, 0)
+	unadmitted := mkVote(key, types.PrevoteType, 1, 0, types.BlockID{Hash: types.Hash{1}})
+	const views, checks, signs = 4, 8, 8
+	var wg sync.WaitGroup
+	for i := 0; i < views; i++ {
+		ro := c.ReadOnly()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < checks; j++ {
+				if !ro.VerifyVote(chainID, unadmitted, key.Pub()) {
+					t.Error("valid vote rejected by read-only view")
+				}
+			}
+		}()
+	}
+	for h := int64(2); h < 2+signs; h++ {
+		c.Sign(key, &types.Vote{Type: types.PrevoteType, Height: h, ValidatorAddress: key.Pub().Address()})
+	}
+	wg.Wait()
+	if st := c.Stats(); st.ReadOnlyVerifications != views*checks || st.Signed != signs || st.Size != signs {
+		t.Fatalf("concurrent views miscounted: %+v", st)
+	}
+}
+
+// TestAdmittedEntriesVerify audits a live chain's cache: every tuple
+// admitted at sign time must carry a signature that passes a full
+// ed25519 check under the canonical validator-set key for its address.
+func TestAdmittedEntriesVerify(t *testing.T) {
+	sched := sim.NewScheduler()
+	network := netem.New(sched, sim.NewRNG(1), netem.DefaultWAN())
+	c := chain.New(sched, network, chain.Config{ChainID: "audit", Validators: 7})
+	c.Start()
+	if err := sched.RunUntil(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cache := c.Engine.VoteCache()
+	admitted := cache.Admitted()
+	if len(admitted) == 0 {
+		t.Fatal("no votes admitted")
+	}
+	st := cache.Stats()
+	if st.Verifications != 0 || st.Rejected != 0 || uint64(len(admitted)) != st.Signed {
+		t.Fatalf("honest run: %d admitted, stats %+v", len(admitted), st)
+	}
+	vs := c.Engine.ValidatorSet()
+	for i := range admitted {
+		v := &admitted[i]
+		val := vs.ByAddress(v.ValidatorAddress)
+		if val == nil {
+			t.Fatalf("admitted vote from stranger %s", v.ValidatorAddress)
+		}
+		if !val.PubKey.Verify(types.VoteSignBytes("audit", v), v.Signature) {
+			t.Fatalf("admitted %v h=%d r=%d from %s fails ed25519", v.Type, v.Height, v.Round, v.ValidatorAddress)
+		}
 	}
 }
 
