@@ -9,11 +9,20 @@ GO ?= go
 test:
 	$(GO) build ./... && $(GO) test ./...
 
+# check mirrors the CI test job's gates, including the example-spec
+# runs (every assertion must hold) and the trace smoke.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short ./...
+	for spec in examples/scenarios/*.json; do \
+		echo "== $$spec"; $(GO) run ./cmd/ibcbench run -scenario "$$spec" || exit 1; \
+	done
+	out=$$($(GO) run ./cmd/ibcbench trace -out trace_ci.json -summary -topology hub:3 -rate 3 -windows 2) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | grep -q 'span tree'
+	$(GO) run ./cmd/ibcbench trace -validate trace_ci.json
 
 # The benchmark's own checks, mirroring the two perfbench CI steps: the
 # nested module's vet and tests, then a short votes-v32 run whose last
@@ -30,7 +39,7 @@ bench-check:
 # should differ from the committed one only when simulation behavior
 # intentionally moved.
 rebaseline-virt:
-	$(GO) run ./cmd/ibcbench -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3 -out VIRT_baseline.json
+	$(GO) run ./cmd/ibcbench sweep -experiment topo -topology hub:3 -rate 5 -seeds 2 -windows 3 -out VIRT_baseline.json
 
 # Refresh BENCH_baseline.json — the warn-only 30% wall-clock trajectory.
 # Mirrors the CI bench job's "Hot-path benchmarks" step; run on a quiet
@@ -40,7 +49,7 @@ rebaseline-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkVoteFanout|BenchmarkStateCommit|BenchmarkEventDecode|BenchmarkTracerOverhead|BenchmarkRelayerHubScan|BenchmarkMeshSerialVsParallel' -benchtime=3x -count=3 . | tee bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkNetemSend' -benchtime=3x -count=3 ./internal/netem | tee -a bench_raw.txt; \
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumTally' -benchtime=100x -count=3 ./internal/tendermint/consensus | tee -a bench_raw.txt
-	$(GO) run ./cmd/ibcbench -bench2json bench_raw.txt -out BENCH_baseline.json
+	$(GO) run ./cmd/ibcbench bench2json bench_raw.txt -out BENCH_baseline.json
 	rm -f bench_raw.txt
 
 # Local experiment service over the default store directory.

@@ -11,9 +11,40 @@ import (
 	"ibcbench/internal/scenario"
 )
 
+// Every invocation must name a known subcommand: no flat-flag alias,
+// no implicit sweep, and sweep no longer hosts the trace/diff/bench
+// dispatch flags. None of these cases may run a simulation, so stdout
+// stays empty.
 func TestUnknownSubcommand(t *testing.T) {
-	if err := run([]string{"nope"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-		t.Fatalf("expected unknown-subcommand error, got %v", err)
+	stdout, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	saved := os.Stdout
+	os.Stdout = stdout
+	defer func() { os.Stdout = saved }()
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"nope"}, "unknown subcommand"},
+		{nil, "ibcbench help"},
+		{[]string{"-experiment", "gas"}, "ibcbench help"},
+		{[]string{"sweep", "-trace", "x"}, "flag provided but not defined"},
+		{[]string{"sweep", "-diff", "a", "b"}, "flag provided but not defined"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q): expected an error containing %q, got %v", tc.args, tc.want, err)
+		}
+	}
+	info, err := stdout.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != 0 {
+		t.Errorf("rejected invocations wrote %d byte(s) to stdout", info.Size())
 	}
 }
 

@@ -1,9 +1,9 @@
-// Trace export, validation, and analysis: -trace runs one instrumented
-// scenario and writes a Chrome trace-event file (load it at
-// ui.perfetto.dev or chrome://tracing), -trace-summary prints the top
-// spans by total/self time per subsystem (-top caps the table),
-// -validate-trace structurally checks an exported file (the CI smoke
-// step runs it against a short hub run), and -trace-analyze runs the
+// Trace export, validation, and analysis: `trace -out` runs one
+// instrumented scenario and writes a Chrome trace-event file (load it
+// at ui.perfetto.dev or chrome://tracing), -summary prints that run's
+// traceview flame span tree with total/self time per subsystem (-top
+// caps the table), -validate structurally checks an exported file (the
+// CI smoke step runs it against a short hub run), and -analyze runs the
 // traceview flame/critical-path analytics over an exported file.
 package main
 
@@ -34,7 +34,7 @@ func runTraceCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench trace", flag.ContinueOnError)
 	var (
 		outPath    = fs.String("out", "", "write the instrumented run's Chrome trace-event file (Perfetto-loadable) here")
-		summary    = fs.Bool("summary", false, "print the top spans by total/self time per subsystem")
+		summary    = fs.Bool("summary", false, "print the run's flame span tree with total/self time per subsystem")
 		checkPath  = fs.String("validate", "", "structurally validate this exported trace file and exit")
 		anaPath    = fs.String("analyze", "", "analyze this exported trace file (flame tree + critical-path tables) and exit")
 		topN       = fs.Int("top", 20, "row cap for -summary and -analyze tables (0 = unlimited)")
@@ -70,8 +70,8 @@ func runTraceCmd(args []string, w io.Writer) error {
 }
 
 // runTrace executes one seed of the topo scenario with observability
-// attached, optionally writes the Chrome trace and/or prints the span
-// summary, and renders the run result like a plain topo run would.
+// attached, optionally writes the Chrome trace and/or prints the flame
+// span tree, and renders the run result like a plain topo run would.
 // With storeDir the result is archived (provenance-stamped) with the
 // trace attached, validated and badged exactly like a server-side
 // ingest.
@@ -102,7 +102,7 @@ func runTrace(opt experiments.Options, topology string, rate int, forwarded bool
 	}
 	if summary {
 		fmt.Fprintln(w)
-		obs.WriteSummary(w, o.Tracer.Summary(), top)
+		traceview.WriteFlame(w, traceview.Flame(traceview.FromTracer(o.Tracer)), top)
 	}
 	if storeDir != "" {
 		meta := experiments.CaptureRunMeta()

@@ -36,8 +36,32 @@ func TestTraceExportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceSummaryGolden pins the `trace -summary` rendering — the run
+// report followed by the traceview flame span tree — byte for byte.
+// Refresh with UPDATE_GOLDEN=1 after an intentional change.
+func TestTraceSummaryGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := runTraceCmd([]string{"-summary", "-topology", "two", "-rate", "2", "-windows", "1", "-seed", "7"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "trace_summary.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("trace -summary output differs from %s (run UPDATE_GOLDEN on it):\n%s", golden, out.String())
+	}
+}
+
 // TestTraceAnalyzeRoundTrip: an exported forwarded-route trace feeds
-// the -trace-analyze path, which prints the flame span tree and the
+// the `trace -analyze` path, which prints the flame span tree and the
 // critical-path tables deterministically.
 func TestTraceAnalyzeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")

@@ -12,9 +12,9 @@
 // so instrumented components pay a single predictable branch when
 // tracing is disabled.
 //
-// Exports: Chrome trace-event JSON (chrome.go, loadable in Perfetto /
-// chrome://tracing) and a per-subsystem total/self-time table
-// (summary.go).
+// Export: Chrome trace-event JSON (chrome.go, loadable in Perfetto /
+// chrome://tracing). Span aggregation — the total/self-time tree per
+// subsystem — lives in internal/traceview.
 package obs
 
 import (

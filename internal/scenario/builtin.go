@@ -1,6 +1,6 @@
-// Built-in named scenarios: the spec-file equivalents of today's
-// experiment entrypoints and examples/ programs, registered at init so
-// `ibcbench suite` runs them and CI lints them. Each one is also a
+// Built-in named scenarios: the spec-file equivalents of the
+// experiment entrypoints and of examples/scenarios, registered at init
+// so `ibcbench suite` runs them and CI lints them. Each one is also a
 // living sample of the DSL — `ibcbench run -name <x> -print` dumps the
 // canonical spec text.
 package scenario
@@ -10,8 +10,8 @@ import "time"
 func intp(i int) *int { return &i }
 
 func init() {
-	// The paper's minimal testbed (examples/quickstart): two chains, one
-	// relayer, a trickle of transfers.
+	// The paper's minimal testbed (examples/scenarios/quickstart.json):
+	// two chains, one relayer, a trickle of transfers.
 	Register(Entry{
 		Desc:  "two chains, one relayer, one window of transfers",
 		Short: true,
@@ -51,8 +51,9 @@ func init() {
 		},
 	})
 
-	// examples/pfmroute: one multi-hop route in both modes across a
-	// 3-chain line — sequential legs vs packet-forward middleware.
+	// examples/scenarios/pfmroute.json: one multi-hop route in both
+	// modes across a 3-chain line — sequential legs vs packet-forward
+	// middleware.
 	Register(Entry{
 		Desc:  "line:3 route comparison, sequential legs vs packet forwarding",
 		Short: true,
@@ -67,9 +68,9 @@ func init() {
 		},
 	})
 
-	// examples/failover: geo-distributed hub, standby relayers, a
-	// mid-run relayer blackout plus a latency spike, healed before the
-	// deadline. Declares a fault space so it doubles as the default
+	// examples/scenarios/failover.json: geo-distributed hub, standby
+	// relayers, a mid-run relayer blackout plus a latency spike, healed
+	// before the deadline. Declares a fault space so it doubles as the default
 	// chaos-search demo.
 	Register(Entry{
 		Desc: "geo hub with standby relayers under partition + latency chaos",

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCompileMatchesFlagInvocation is the api_redesign acceptance gate:
-// a spec equivalent to `ibcbench -experiment topo -topology hub:3
-// -rate 3 -windows 2` produces a byte-identical same-seed topo.Result
+// a spec equivalent to `ibcbench sweep -experiment topo -topology
+// hub:3 -rate 3 -windows 2` produces a byte-identical same-seed topo.Result
 // to the scenario the flag path builds via BuildTopologyScenario.
 func TestCompileMatchesFlagInvocation(t *testing.T) {
 	const seed = 301 // the sweep's formula: 100*rate + seedIndex

@@ -1,8 +1,8 @@
 // Package scenario is the declarative run description layer: one JSON
 // spec covers topology, geo regions, deploy knobs, workload (per-edge
 // rates + multi-hop routes), a chaos fault timeline, and the invariant
-// assertions checked after the run — everything a `cmd/ibcbench` flag
-// invocation or an examples/ program expresses in Go, as data.
+// assertions checked after the run — everything an `ibcbench sweep`
+// invocation expresses through flags, as data.
 //
 // Specs round-trip: Parse(Encode(s)) == s, and Encode is canonical
 // (stable field order, sorted maps, duration strings), so a spec file is

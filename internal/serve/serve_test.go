@@ -286,7 +286,7 @@ func TestTracePostValidatesAndBadges(t *testing.T) {
 }
 
 // TestDiffEndpointReportsConfigMismatch: the stored diff mirrors
-// `ibcbench -diff` — metric deltas plus field-level config mismatch.
+// `ibcbench diff` — metric deltas plus field-level config mismatch.
 func TestDiffEndpointReportsConfigMismatch(t *testing.T) {
 	ts, _ := newTestServer(t)
 	a, _ := postIngest(t, ts.URL, "time=2026-08-01T00:00:00Z", doc("hub:3", 1, 0.8))

@@ -162,7 +162,7 @@ func sortEvents(evs []Event) {
 }
 
 // subsystemOf reduces a track name to its subsystem prefix ("chain/A"
-// → "chain"), matching the trace-summary grouping.
+// → "chain").
 func subsystemOf(track string) string {
 	if i := strings.IndexByte(track, '/'); i >= 0 {
 		return track[:i]

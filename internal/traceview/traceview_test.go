@@ -201,6 +201,83 @@ func TestFlameTreeInvariants(t *testing.T) {
 	}
 }
 
+// TestFlameSelfTimeFromTracer: nesting recovered from a live tracer
+// subtracts child time from the parent — block [0,100ms] containing
+// exec [60ms,100ms], plus a childless block [200ms,250ms].
+func TestFlameSelfTimeFromTracer(t *testing.T) {
+	tr := obs.NewTracer()
+	track := tr.Track("chain/ibc-0")
+	block, exec := tr.Name("block"), tr.Name("exec")
+	tr.CompleteAt(track, block, 0, 100*time.Millisecond)
+	tr.CompleteAt(track, exec, 60*time.Millisecond, 100*time.Millisecond)
+	tr.CompleteAt(track, block, 200*time.Millisecond, 250*time.Millisecond)
+
+	root := traceview.Flame(traceview.FromTracer(tr))
+	if len(root.Children) != 1 || root.Children[0].Name != "chain" {
+		t.Fatalf("subsystems = %+v, want [chain]", root.Children)
+	}
+	chain := root.Children[0]
+	if len(chain.Children) != 1 {
+		t.Fatalf("chain children = %+v, want [block]", chain.Children)
+	}
+	b := chain.Children[0]
+	if b.Name != "block" || b.Count != 2 || b.Total != 150*time.Millisecond {
+		t.Fatalf("block = %+v, want 2 spans totalling 150ms", b)
+	}
+	if b.Self != 110*time.Millisecond {
+		t.Fatalf("block self = %v, want 110ms (100-40 child + 50)", b.Self)
+	}
+	if len(b.Children) != 1 {
+		t.Fatalf("block children = %+v, want [exec]", b.Children)
+	}
+	if e := b.Children[0]; e.Name != "exec" || e.Total != 40*time.Millisecond || e.Self != 40*time.Millisecond {
+		t.Fatalf("exec = %+v, want total = self = 40ms", e)
+	}
+}
+
+// TestFlameTieOrderAndRowCap pins the contract `trace -summary -top`
+// relies on: equal totals sort by name (never recording order), a
+// positive maxRows caps the table, and 0 means unlimited.
+func TestFlameTieOrderAndRowCap(t *testing.T) {
+	tr := obs.NewTracer()
+	// Three names with identical 10ms totals, recorded in scrambled
+	// order across two subsystems.
+	for i, spec := range []struct{ track, name string }{
+		{"relayer/r0", "scan"},
+		{"chain/ibc-1", "exec"},
+		{"chain/ibc-0", "block"},
+	} {
+		start := time.Duration(i) * time.Second
+		tr.CompleteAt(tr.Track(spec.track), tr.Name(spec.name), start, start+10*time.Millisecond)
+	}
+	root := traceview.Flame(traceview.FromTracer(tr))
+	var got []string
+	var walk func(n *traceview.FlameNode, prefix string)
+	walk = func(n *traceview.FlameNode, prefix string) {
+		for _, c := range n.Children {
+			got = append(got, prefix+c.Name)
+			walk(c, prefix+c.Name+"/")
+		}
+	}
+	walk(root, "")
+	want := []string{"chain", "chain/block", "chain/exec", "relayer", "relayer/scan"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("tree order = %v, want %v", got, want)
+	}
+
+	lines := func(maxRows int) int {
+		var buf bytes.Buffer
+		traceview.WriteFlame(&buf, root, maxRows)
+		return strings.Count(buf.String(), "\n")
+	}
+	if n := lines(2); n != 3 { // header + run + chain
+		t.Fatalf("maxRows=2 wrote %d lines, want 3", n)
+	}
+	if n := lines(0); n != 7 { // header + run + 5 nodes
+		t.Fatalf("maxRows=0 wrote %d lines, want 7", n)
+	}
+}
+
 // TestCriticalPathSynthetic checks the attribution math on a
 // hand-built two-hop flow where every delta is known.
 func TestCriticalPathSynthetic(t *testing.T) {
