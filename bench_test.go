@@ -2,27 +2,24 @@
 // figure of the paper's evaluation section (§IV). Each bench runs the
 // corresponding experiment driver once per iteration and reports the
 // headline metric via b.ReportMetric, so `go test -bench=. -benchmem`
-// reprints the paper's rows/series. EXPERIMENTS.md records paper-vs-
-// measured values.
+// reprints the paper's rows/series. The hot-path benchmarks after them
+// feed the CI bench job and BENCH_baseline.json; the consensus package
+// holds the vote fan-out and quorum-tally benchmarks.
 package ibcbench_test
 
 import (
 	"encoding/json"
 	"fmt"
 	"testing"
-	"time"
 
 	"ibcbench/internal/abci"
 	"ibcbench/internal/app"
-	"ibcbench/internal/chain"
 	"ibcbench/internal/eventindex"
 	"ibcbench/internal/experiments"
 	"ibcbench/internal/ibc"
 	"ibcbench/internal/merkle"
 	"ibcbench/internal/metrics"
-	"ibcbench/internal/netem"
 	"ibcbench/internal/obs"
-	"ibcbench/internal/sim"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
 )
@@ -285,39 +282,6 @@ func BenchmarkStateCommit(b *testing.B) {
 			s.Commit(int64(i + 2))
 		}
 	})
-}
-
-// BenchmarkVoteFanout measures consensus block production as the
-// validator set grows. The shared vote-verification engine
-// (internal/tendermint/votesig) admits each honest vote when it is
-// signed, so every delivery is a cache hit and per-height curve work is
-// the O(V) signing across the two voting stages; the
-// `vals-13-reference` variant runs the per-receiver path (O(V^2)
-// checks) as the regression anchor. Virtual results are identical
-// either way — blocks-per-virtual-minute must not move.
-func BenchmarkVoteFanout(b *testing.B) {
-	runChain := func(b *testing.B, vals int, reference bool) {
-		for i := 0; i < b.N; i++ {
-			sched := sim.NewScheduler()
-			rng := sim.NewRNG(int64(31 + i))
-			network := netem.New(sched, rng, netem.DefaultWAN())
-			c := chain.New(sched, network, chain.Config{
-				ChainID: "fanout", Validators: vals, ReferenceVoteVerify: reference,
-			})
-			c.Start()
-			if err := sched.RunUntil(60 * time.Second); err != nil {
-				b.Fatal(err)
-			}
-			if c.Store.Height() == 0 {
-				b.Fatal("no blocks committed")
-			}
-			b.ReportMetric(float64(c.Store.Height()), "blocks-per-vmin")
-		}
-	}
-	for _, vals := range []int{5, 9, 13} {
-		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { runChain(b, vals, false) })
-	}
-	b.Run("vals-13-reference", func(b *testing.B) { runChain(b, 13, true) })
 }
 
 // BenchmarkTracerOverhead measures the observability tax on a full topo

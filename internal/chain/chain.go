@@ -32,14 +32,6 @@ type Config struct {
 	// verification (correctness mode); performance experiments disable
 	// it — the proof-handling cost is modeled in virtual time either way.
 	FullProofs bool
-	// ReferenceVoteVerify disables the shared vote-verification engine
-	// (every validator re-verifies every gossiped vote — the O(V^2)
-	// reference path; results stay byte-identical).
-	ReferenceVoteVerify bool
-	// ReferenceQuorumTally disables the counted per-round quorum tallies
-	// (every received vote re-walks a power map — the reference path;
-	// results stay byte-identical).
-	ReferenceQuorumTally bool
 	// Consensus overrides; zero values take the paper defaults.
 	Consensus consensus.Config
 	// RPC overrides; zero value takes defaults.
@@ -95,12 +87,6 @@ func New(sched *sim.Scheduler, network *netem.Network, cfg Config) *Chain {
 	}
 	if cfg.Validators > 0 {
 		ccfg.Validators = cfg.Validators
-	}
-	if cfg.ReferenceVoteVerify {
-		ccfg.ReferenceVoteVerify = true
-	}
-	if cfg.ReferenceQuorumTally {
-		ccfg.ReferenceQuorumTally = true
 	}
 	if cfg.Obs != nil {
 		ccfg.Obs = cfg.Obs
@@ -316,38 +302,14 @@ type Testbed struct {
 	Pair  *Pair
 }
 
-// TestbedConfig selects the emulated network and chain parameters.
-type TestbedConfig struct {
-	Seed        int64
-	Network     netem.Config
-	Validators  int
-	FullProofs  bool
-	MaxBlockGas uint64
-	// ReferenceVoteVerify selects the O(V^2) per-receiver vote
-	// verification path (see Config.ReferenceVoteVerify).
-	ReferenceVoteVerify bool
-}
-
-// DefaultTestbed mirrors §III-C: 200 ms RTT WAN, five validators each.
-func DefaultTestbed(seed int64) TestbedConfig {
-	return TestbedConfig{
-		Seed:    seed,
-		Network: netem.DefaultWAN(),
-	}
-}
-
-// NewTestbed builds the two-chain environment.
-func NewTestbed(cfg TestbedConfig) *Testbed {
+// NewTestbed builds the two-chain environment of §III-C: a 200 ms RTT
+// WAN and two five-validator chains, ibc-0 and ibc-1.
+func NewTestbed(seed int64, fullProofs bool) *Testbed {
 	sched := sim.NewScheduler()
-	rng := sim.NewRNG(cfg.Seed)
-	network := netem.New(sched, rng, cfg.Network)
+	rng := sim.NewRNG(seed)
+	network := netem.New(sched, rng, netem.DefaultWAN())
 	mk := func(id string) *Chain {
-		ccfg := Config{
-			ChainID: id, Validators: cfg.Validators, FullProofs: cfg.FullProofs,
-			ReferenceVoteVerify: cfg.ReferenceVoteVerify,
-		}
-		ccfg.Consensus = consensusDefault(id, cfg)
-		return New(sched, network, ccfg)
+		return New(sched, network, Config{ChainID: id, FullProofs: fullProofs})
 	}
 	a := mk("ibc-0")
 	b := mk("ibc-1")
@@ -357,17 +319,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		RNG:   rng,
 		Pair:  Link(a, b),
 	}
-}
-
-func consensusDefault(id string, cfg TestbedConfig) consensus.Config {
-	c := consensus.DefaultConfig(id)
-	if cfg.Validators > 0 {
-		c.Validators = cfg.Validators
-	}
-	if cfg.MaxBlockGas > 0 {
-		c.MaxBlockGas = cfg.MaxBlockGas
-	}
-	return c
 }
 
 // Start begins block production on both chains.

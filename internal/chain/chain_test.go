@@ -127,7 +127,7 @@ func TestAddRPCNodeDistinctHosts(t *testing.T) {
 }
 
 func TestTestbedProducesBlocks(t *testing.T) {
-	tb := NewTestbed(DefaultTestbed(3))
+	tb := NewTestbed(3, false)
 	if tb.Pair.A.ID != "ibc-0" || tb.Pair.B.ID != "ibc-1" {
 		t.Fatalf("chain IDs %q / %q", tb.Pair.A.ID, tb.Pair.B.ID)
 	}

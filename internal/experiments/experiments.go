@@ -1,15 +1,18 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§IV): each function regenerates the corresponding
-// rows/series on the simulated testbed. DESIGN.md carries the experiment
-// index; EXPERIMENTS.md records paper-vs-measured values.
+// rows/series on the simulated testbed. Registry maps every driver to
+// its `-experiment` selectors; each driver's comment names the paper
+// figure or table it reproduces.
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"ibcbench/internal/app"
 	"ibcbench/internal/framework"
 	"ibcbench/internal/metrics"
+	"ibcbench/internal/netem"
 	"ibcbench/internal/simconf"
 	"ibcbench/internal/tendermint/store"
 	"ibcbench/internal/topo"
@@ -52,6 +55,21 @@ func (o Options) seeds() int {
 		return 3
 	}
 	return o.Seeds
+}
+
+// deployTwoChain deploys the paper's testbed (Fig. 5's Setup module): two
+// chains, one channel and its relayers, plus the generator submitting
+// transfers A -> B through the first relayer's full node. The generator
+// is created before the chains start; that order fixes the deployment's
+// RNG draws.
+func deployTwoChain(cfg topo.DeployConfig) (*topo.Deployment, *workload.Generator) {
+	d, err := topo.Deploy(topo.TwoChain(), cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: two-chain deploy: %v", err))
+	}
+	gen := d.Links[0].Forward()
+	d.Start()
+	return d, gen
 }
 
 // --- Fig. 6 / Fig. 7 / Table I: Tendermint-side throughput sweep -------------
@@ -106,15 +124,15 @@ func Tendermint(opt Options) TendermintResult {
 		}
 	}
 	runs := ParallelMap(jobs, opt.Workers, func(j job) run {
-		env := framework.Setup(framework.SetupConfig{Seed: int64(1000*j.rate + j.seed)})
-		env.Workload.RunConstantRate(j.rate, windows)
+		d, gen := deployTwoChain(topo.DeployConfig{Seed: int64(1000*j.rate + j.seed)})
+		gen.RunConstantRate(j.rate, windows)
 		// Run long enough for all windows even with stretched blocks.
 		deadline := time.Duration(windows+4) * simconf.MinBlockInterval * 16
-		runUntilHeight(env, int64(windows)+2, deadline)
+		runUntilHeight(d, int64(windows)+2, deadline)
 
-		st := env.Testbed.Pair.A.Store
+		st := d.Chains[0].Store
 		committed, span := committedTransfers(st, int64(windows))
-		r := run{interval: meanInterval(st).Seconds(), stats: env.Workload.Stats(), commit: committed}
+		r := run{interval: meanInterval(st).Seconds(), stats: gen.Stats(), commit: committed}
 		if span > 0 {
 			r.tput = float64(committed) / span.Seconds()
 			r.hasTput = true
@@ -143,10 +161,10 @@ func Tendermint(opt Options) TendermintResult {
 
 // runUntilHeight advances the sim until chain A reaches height or the
 // deadline passes, stepping block by block.
-func runUntilHeight(env *framework.Environment, height int64, deadline time.Duration) {
+func runUntilHeight(d *topo.Deployment, height int64, deadline time.Duration) {
 	step := simconf.MinBlockInterval
-	for env.Scheduler().Now() < deadline && env.Testbed.Pair.A.Store.Height() < height {
-		_ = env.Run(env.Scheduler().Now() + step)
+	for d.Sched.Now() < deadline && d.Chains[0].Store.Height() < height {
+		_ = d.Run(d.Sched.Now() + step)
 	}
 }
 
@@ -266,21 +284,25 @@ func RelayerSweep(opt Options, relayers int, lan bool) []RelayerPoint {
 		}
 	}
 	runs := ParallelMap(jobs, opt.Workers, func(j job) run {
-		env := framework.Setup(framework.SetupConfig{
-			Seed:       int64(7000*j.rate + 31*relayers + j.seed),
-			Relayers:   relayers,
-			LANLatency: lan,
-		})
-		env.Workload.RunConstantRate(j.rate, windows)
+		cfg := topo.DeployConfig{
+			Seed:            int64(7000*j.rate + 31*relayers + j.seed),
+			RelayersPerEdge: relayers,
+		}
+		if lan {
+			cfg.Network = netem.DefaultLAN()
+		}
+		d, gen := deployTwoChain(cfg)
+		gen.RunConstantRate(j.rate, windows)
 		deadline := time.Duration(windows+8) * simconf.MinBlockInterval * 4
-		runUntilHeight(env, int64(windows), deadline)
-		now := env.Scheduler().Now()
-		r := run{counts: env.Tracker.CompletionCounts()}
+		runUntilHeight(d, int64(windows), deadline)
+		now := d.Sched.Now()
+		link := d.Links[0]
+		r := run{counts: link.Tracker.CompletionCounts()}
 		if now > 0 {
 			r.tput = float64(r.counts[metrics.StatusCompleted]) / now.Seconds()
 			r.hasTput = true
 		}
-		for _, rs := range env.Relayers {
+		for _, rs := range link.Relayers {
 			r.redundant += float64(rs.Stats().RedundantErrors)
 		}
 		return r
@@ -339,11 +361,11 @@ type Fig12Result struct {
 // Fig12 submits `transfers` requests within one block and reports the
 // 13-step breakdown. The paper's run uses 5,000 transfers.
 func Fig12(transfers int, seed int64) Fig12Result {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Scheduler().At(time.Millisecond, func() { env.Workload.SubmitBatch(transfers) })
-	_ = env.Run(45 * time.Minute)
+	d, gen := deployTwoChain(topo.DeployConfig{Seed: seed})
+	d.Sched.At(time.Millisecond, func() { gen.SubmitBatch(transfers) })
+	_ = d.Run(45 * time.Minute)
 
-	t := env.Tracker
+	t := d.Links[0].Tracker
 	res := Fig12Result{Transfers: transfers}
 	res.Completed = t.CompletionCounts()[metrics.StatusCompleted]
 	var firstBroadcast, lastAck time.Duration
@@ -397,10 +419,10 @@ func Fig13(transfers int, strategies []int, seed int64) []Fig13Row {
 	}
 	var out []Fig13Row
 	for _, blocks := range strategies {
-		env := framework.Setup(framework.SetupConfig{Seed: seed + int64(blocks)})
-		env.Workload.SubmitSpread(transfers, blocks)
-		_ = env.Run(45 * time.Minute)
-		t := env.Tracker
+		d, gen := deployTwoChain(topo.DeployConfig{Seed: seed + int64(blocks)})
+		gen.SubmitSpread(transfers, blocks)
+		_ = d.Run(45 * time.Minute)
+		t := d.Links[0].Tracker
 		first, _, ok1 := t.StepSpan(metrics.StepTransferBroadcast)
 		_, last, ok2 := t.StepSpan(metrics.StepAckConfirmation)
 		row := Fig13Row{
@@ -426,9 +448,9 @@ type GasRow struct {
 
 // GasTable measures per-class gas on a live run of 100 transfers.
 func GasTable(seed int64) []GasRow {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Scheduler().At(time.Millisecond, func() { env.Workload.SubmitBatch(100) })
-	_ = env.Run(10 * time.Minute)
+	d, gen := deployTwoChain(topo.DeployConfig{Seed: seed})
+	d.Sched.At(time.Millisecond, func() { gen.SubmitBatch(100) })
+	_ = d.Run(10 * time.Minute)
 	want := map[string]uint64{
 		"MsgTransfer":        3669161,
 		"MsgRecvPacket":      7238699,
@@ -450,8 +472,8 @@ func GasTable(seed int64) []GasRow {
 			}
 		}
 	}
-	scan(env.Testbed.Pair.A.Store)
-	scan(env.Testbed.Pair.B.Store)
+	scan(d.Chains[0].Store)
+	scan(d.Chains[1].Store)
 	var out []GasRow
 	for _, k := range []string{"MsgTransfer", "MsgRecvPacket", "MsgAcknowledgement"} {
 		out = append(out, GasRow{MsgType: k, Measured: got[k], Paper: want[k]})
@@ -475,21 +497,21 @@ type WebSocketResult struct {
 // Transactions are injected directly into the mempool so they land in a
 // single block, as in the paper.
 func WebSocketLimit(seed int64, txs, timeoutBlocks int) WebSocketResult {
-	env := framework.Setup(framework.SetupConfig{Seed: seed})
-	env.Workload.TimeoutBlocks = int64(timeoutBlocks)
-	pair := env.Testbed.Pair
-	env.Scheduler().At(time.Millisecond, func() {
-		env.Workload.InjectDirect(txs * 100)
+	d, gen := deployTwoChain(topo.DeployConfig{Seed: seed})
+	gen.TimeoutBlocks = int64(timeoutBlocks)
+	d.Sched.At(time.Millisecond, func() {
+		gen.InjectDirect(txs * 100)
 	})
 	// Run for 4x the timeout horizon, as the paper does.
-	_ = env.Run(time.Duration(4*timeoutBlocks+40) * simconf.MinBlockInterval)
+	_ = d.Run(time.Duration(4*timeoutBlocks+40) * simconf.MinBlockInterval)
 
-	counts := env.Tracker.CompletionCounts()
+	link := d.Links[0]
+	counts := link.Tracker.CompletionCounts()
 	res := WebSocketResult{
 		Transfers: txs * 100,
 		Completed: counts[metrics.StatusCompleted],
 	}
-	for _, r := range env.Relayers {
+	for _, r := range link.Relayers {
 		res.FramesLost += r.Stats().FramesLost
 		res.TimedOut += r.Stats().TimeoutsDelivered
 	}
@@ -498,6 +520,5 @@ func WebSocketLimit(seed int64, txs, timeoutBlocks int) WebSocketResult {
 	if res.Stuck < 0 {
 		res.Stuck = 0
 	}
-	_ = pair
 	return res
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"ibcbench/internal/metrics"
 )
 
 func TestFig12Shape(t *testing.T) {
@@ -19,8 +17,8 @@ func TestFig12Shape(t *testing.T) {
 		t.Fatalf("completed = %d of 5000", res.Completed)
 	}
 	// Paper: ~455 s total with the two data pulls at ~69%. Our page-cost
-	// model preserves the order of magnitude and the pull domination
-	// (EXPERIMENTS.md records the deviation in absolute totals).
+	// model preserves the order of magnitude and the pull domination,
+	// not the absolute total.
 	if res.Total < 60*time.Second || res.Total > 650*time.Second {
 		t.Fatalf("total = %v, want minutes-scale", res.Total)
 	}
@@ -142,7 +140,6 @@ func TestWebSocketLimit(t *testing.T) {
 		t.Fatalf("stuck (%d) should dominate completed (%d), paper: 81.8%% vs 2.5%%",
 			res.Stuck, res.Completed)
 	}
-	_ = metrics.StatusCompleted
 }
 
 func TestForwardingComparisonShape(t *testing.T) {

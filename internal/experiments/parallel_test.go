@@ -74,7 +74,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 func TestTopologySweep(t *testing.T) {
 	opt := Options{Seeds: 2, Windows: 3}
-	res, err := TopologySweep(opt, "hub:2", 4)
+	res, err := TopologySweepMode(opt, "hub:2", 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestTopologySweep(t *testing.T) {
 		}
 	}
 
-	if _, err := TopologySweep(opt, "ring:9", 4); err == nil {
+	if _, err := TopologySweepMode(opt, "ring:9", 4, false); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }
 
 func TestTopologySweepParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) string {
-		res, err := TopologySweep(Options{Seeds: 2, Windows: 3, Workers: workers}, "line:3", 3)
+		res, err := TopologySweepMode(Options{Seeds: 2, Windows: 3, Workers: workers}, "line:3", 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

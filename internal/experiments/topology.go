@@ -27,15 +27,6 @@ type TopologyResult struct {
 	Sample *topo.Result
 }
 
-// TopologySweep benchmarks an interchain topology: every edge sustains
-// `rate` requests/second for the configured windows, plus — on graphs of
-// three or more chains — one multi-hop route between the two
-// lowest-indexed non-adjacent leaves, exercised as sequential transfers.
-// Seeds run concurrently on the parallel runner.
-func TopologySweep(opt Options, spec string, rate int) (TopologyResult, error) {
-	return TopologySweepMode(opt, spec, rate, false)
-}
-
 // BuildTopologyScenario assembles the sweep's scenario for one topology
 // spec and per-edge rate without running it: every edge sustains `rate`
 // requests/second for the configured windows, plus the demo multi-hop
@@ -74,9 +65,12 @@ func BuildTopologyScenario(opt Options, spec string, rate int, forwarded bool) (
 	return sc, nil
 }
 
-// TopologySweepMode is TopologySweep with the route mode as an explicit
-// experiment axis: forwarded routes ride the packet-forward middleware
-// instead of sequential legs.
+// TopologySweepMode benchmarks an interchain topology: every edge
+// sustains `rate` requests/second for the configured windows, plus — on
+// graphs of three or more chains — one multi-hop route between the two
+// lowest-indexed non-adjacent leaves. The route runs as sequential
+// transfers, or through the packet-forward middleware when forwarded is
+// set. Seeds run concurrently on the parallel runner.
 func TopologySweepMode(opt Options, spec string, rate int, forwarded bool) (TopologyResult, error) {
 	sc, err := BuildTopologyScenario(opt, spec, rate, forwarded)
 	if err != nil {

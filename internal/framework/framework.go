@@ -1,145 +1,16 @@
-// Package framework implements the paper's cross-chain performance
-// evaluation framework (Fig. 5): the Setup, Benchmark and Analysis
-// modules and the four new components it introduces — the Cross-chain
-// Communicator, Cross-chain Data Connector, Cross-chain Event Connector
-// and Cross-chain Event Processor.
-//
-// The concrete instantiation mirrors the paper's tool: the Communicator
-// is the Hermes-style relayer, the Data Connector is the Tendermint RPC
-// interface, the Event Connector consumes relayer/chain events, and the
-// Event Processor is the metrics.Tracker.
+// Package framework holds Series, the labeled (x, distribution) shape
+// of the paper's figures, which the Tendermint sweep (Figs. 6 and 7)
+// returns and renders. The paper's Setup module (Fig. 5) is the
+// experiments package's two-chain topo deploy.
 package framework
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
-	"ibcbench/internal/chain"
 	"ibcbench/internal/metrics"
-	"ibcbench/internal/netem"
-	"ibcbench/internal/relayer"
-	"ibcbench/internal/sim"
-	"ibcbench/internal/topo"
-	"ibcbench/internal/workload"
 )
-
-// Communicator is the Cross-chain Communicator: the component that moves
-// packets between blockchains (a relayer for IBC; the users themselves
-// in atomic-swap protocols).
-type Communicator interface {
-	Start()
-	Stats() relayer.Stats
-}
-
-var _ Communicator = (*relayer.Relayer)(nil)
-
-// Environment is one fully assembled benchmark deployment (the Setup
-// module's output): two linked chains, N relayers and a workload
-// generator feeding a shared event processor.
-type Environment struct {
-	Testbed  *chain.Testbed
-	Relayers []*relayer.Relayer
-	Tracker  *metrics.Tracker
-	Workload *workload.Generator
-}
-
-// SetupConfig parameterizes the Setup module, mirroring the paper tool's
-// seven configurable parameters.
-type SetupConfig struct {
-	Seed                int64
-	Relayers            int
-	LANLatency          bool // false = 200 ms WAN (paper default)
-	FullProofs          bool
-	ClearIntervalBlocks int64
-	MaxMsgsPerTx        int
-}
-
-// Setup deploys the environment: two Gaia chains, a channel, relayers
-// and the workload connector bound to the first relayer's full node. It
-// is the topo subsystem's TwoChain preset viewed through the paper's
-// two-chain API.
-func Setup(cfg SetupConfig) *Environment {
-	dcfg := topo.DeployConfig{
-		Seed:                cfg.Seed,
-		FullProofs:          cfg.FullProofs,
-		RelayersPerEdge:     cfg.Relayers,
-		ClearIntervalBlocks: cfg.ClearIntervalBlocks,
-		MaxMsgsPerTx:        cfg.MaxMsgsPerTx,
-	}
-	if cfg.LANLatency {
-		dcfg.Network = netem.DefaultLAN()
-	}
-	d, err := topo.Deploy(topo.TwoChain(), dcfg)
-	if err != nil {
-		panic(fmt.Sprintf("framework: two-chain deploy: %v", err))
-	}
-	link := d.Links[0]
-	env := &Environment{
-		Testbed:  &chain.Testbed{Sched: d.Sched, Net: d.Net, RNG: d.RNG, Pair: link.Pair},
-		Relayers: link.Relayers,
-		Tracker:  link.Tracker,
-		Workload: link.Forward(),
-	}
-	d.Start()
-	return env
-}
-
-// Run drives the environment to a virtual deadline.
-func (e *Environment) Run(until time.Duration) error {
-	return e.Testbed.Run(until)
-}
-
-// Scheduler exposes the virtual clock.
-func (e *Environment) Scheduler() *sim.Scheduler { return e.Testbed.Sched }
-
-// Report is the Analysis module's output for one execution.
-type Report struct {
-	Label        string
-	Duration     time.Duration
-	Completion   map[metrics.Status]int
-	Throughput   float64 // completed transfers per virtual second
-	RelayerStats []relayer.Stats
-	Workload     workload.Stats
-}
-
-// Analyze produces a report over the tracked packets.
-func (e *Environment) Analyze(label string, window time.Duration) Report {
-	counts := e.Tracker.CompletionCounts()
-	rep := Report{
-		Label:      label,
-		Duration:   window,
-		Completion: counts,
-		Workload:   e.Workload.Stats(),
-	}
-	if window > 0 {
-		rep.Throughput = float64(counts[metrics.StatusCompleted]) / window.Seconds()
-	}
-	for _, r := range e.Relayers {
-		rep.RelayerStats = append(rep.RelayerStats, r.Stats())
-	}
-	return rep
-}
-
-// Render writes the report.
-func (r Report) Render(w io.Writer) {
-	fmt.Fprintf(w, "== %s ==\n", r.Label)
-	fmt.Fprintf(w, "window: %v\n", r.Duration)
-	fmt.Fprintf(w, "requested=%d submitted=%d failed=%d\n",
-		r.Workload.Requested, r.Workload.Submitted, r.Workload.Failed)
-	statuses := []metrics.Status{
-		metrics.StatusCompleted, metrics.StatusPartial,
-		metrics.StatusInitiated, metrics.StatusNotCommitted,
-	}
-	for _, s := range statuses {
-		fmt.Fprintf(w, "  %-14s %d\n", s.String()+":", r.Completion[s])
-	}
-	fmt.Fprintf(w, "throughput: %.1f TFPS\n", r.Throughput)
-	for i, st := range r.RelayerStats {
-		fmt.Fprintf(w, "relayer %d: %+v\n", i, st)
-	}
-}
 
 // Series is a labeled sequence of (x, Dist) points, the generic shape of
 // the paper's figures.

@@ -3,51 +3,9 @@ package framework
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ibcbench/internal/metrics"
 )
-
-func TestSetupAndAnalyze(t *testing.T) {
-	env := Setup(SetupConfig{Seed: 11, Relayers: 1})
-	env.Scheduler().At(time.Second, func() { env.Workload.SubmitBatch(100) })
-	if err := env.Run(3 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	rep := env.Analyze("test", env.Scheduler().Now())
-	if rep.Completion[metrics.StatusCompleted] != 100 {
-		t.Fatalf("completion = %v", rep.Completion)
-	}
-	if rep.Throughput <= 0 {
-		t.Fatalf("throughput = %f", rep.Throughput)
-	}
-	var sb strings.Builder
-	rep.Render(&sb)
-	out := sb.String()
-	for _, want := range []string{"completed:", "throughput:", "relayer 0:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSetupLANIsFaster(t *testing.T) {
-	run := func(lan bool) time.Duration {
-		env := Setup(SetupConfig{Seed: 12, LANLatency: lan})
-		env.Scheduler().At(time.Second, func() { env.Workload.SubmitBatch(1) })
-		if err := env.Run(2 * time.Minute); err != nil {
-			t.Fatal(err)
-		}
-		lats := env.Tracker.CompletionTimes()
-		if len(lats) != 1 {
-			t.Fatalf("lan=%v: completions = %d", lan, len(lats))
-		}
-		return lats[0]
-	}
-	if wan, lan := run(false), run(true); lan >= wan {
-		t.Fatalf("LAN latency (%v) not below WAN (%v)", lan, wan)
-	}
-}
 
 func TestSeriesRenderSortsByX(t *testing.T) {
 	s := Series{Name: "n", XLabel: "x"}

@@ -17,7 +17,7 @@ import (
 // pinned counters and completion span fingerprint the rescan's
 // virtual-time behaviour (guarding the shared-scan refactor).
 func TestClearRecoversDroppedFrames(t *testing.T) {
-	tb := chain.NewTestbed(chain.DefaultTestbed(31))
+	tb := chain.NewTestbed(31, false)
 	tracker := metrics.NewTracker()
 	rcfg := DefaultConfig("hermes-clear")
 	rcfg.Tracker = tracker

@@ -20,9 +20,7 @@ type env struct {
 
 func newEnv(t *testing.T, seed int64, relayers int, fullProofs bool) *env {
 	t.Helper()
-	cfg := chain.DefaultTestbed(seed)
-	cfg.FullProofs = fullProofs
-	tb := chain.NewTestbed(cfg)
+	tb := chain.NewTestbed(seed, fullProofs)
 	tracker := metrics.NewTracker()
 	e := &env{tb: tb, tracker: tracker}
 	for i := 0; i < relayers; i++ {

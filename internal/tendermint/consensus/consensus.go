@@ -56,20 +56,22 @@ type Config struct {
 	// ProposalBytesPerSecond models block gossip bandwidth.
 	ProposalBytesPerSecond int64
 
-	// ReferenceVoteVerify disables the shared vote-verification engine:
+	// referenceVoteVerify disables the shared vote-verification engine:
 	// every receiving validator re-verifies every gossiped vote (the
 	// O(V^2) pre-cache behaviour). Simulation results are byte-identical
 	// either way — verification is wall-clock work, not virtual time —
 	// so this path exists to pin that equivalence and to count the
-	// fan-out's signature checks.
-	ReferenceVoteVerify bool
+	// fan-out's signature checks. Only this package's tests and
+	// benchmarks set it.
+	referenceVoteVerify bool
 
-	// ReferenceQuorumTally replaces the counted per-round tallies with
+	// referenceQuorumTally replaces the counted per-round tallies with
 	// the original map-walk recomputation on every quorum check (O(V)
 	// per received vote instead of O(1)). At most one block ID can ever
 	// exceed 2/3 of total power, so map iteration order never influenced
-	// the outcome; the flag exists to pin that equivalence.
-	ReferenceQuorumTally bool
+	// the outcome; the flag exists to pin that equivalence. Only this
+	// package's tests and benchmarks set it.
+	referenceQuorumTally bool
 
 	// Obs attaches the run's observability sinks; nil (the default)
 	// disables instrumentation. Only the per-block commit path records
@@ -533,7 +535,7 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 	if val == nil {
 		return
 	}
-	if e.cfg.ReferenceVoteVerify {
+	if e.cfg.referenceVoteVerify {
 		if !e.votes.VerifyDirect(e.cfg.ChainID, v, val.PubKey) {
 			return
 		}
@@ -567,7 +569,7 @@ func (e *Engine) onVote(n *node, v *types.Vote) {
 // of total power, so the map's iteration order never affected which ID
 // wins and both paths are byte-identical.
 func (e *Engine) quorumFor(rt *roundTally) (types.BlockID, bool) {
-	if e.cfg.ReferenceQuorumTally {
+	if e.cfg.referenceQuorumTally {
 		power := make(map[types.BlockID]int64)
 		for _, v := range rt.votes {
 			if v == nil {
@@ -594,7 +596,7 @@ func (e *Engine) quorumFor(rt *roundTally) (types.BlockID, bool) {
 
 // totalVotePower sums power across all votes in a round.
 func (e *Engine) totalVotePower(rt *roundTally) int64 {
-	if e.cfg.ReferenceQuorumTally {
+	if e.cfg.referenceQuorumTally {
 		var p int64
 		for _, v := range rt.votes {
 			if v == nil {

@@ -354,7 +354,7 @@ func TestReferencePathCountsQuadraticFanout(t *testing.T) {
 	run := func(reference bool) (votesig.Stats, []types.Hash) {
 		h := newHarness(t, func(c *Config) {
 			c.Validators = vals
-			c.ReferenceVoteVerify = reference
+			c.referenceVoteVerify = reference
 		})
 		h.eng.Start()
 		if err := h.sched.RunUntil(60 * time.Second); err != nil {
@@ -550,7 +550,7 @@ func TestQuorumTallyReferenceEquivalence(t *testing.T) {
 	run := func(reference bool) []types.Hash {
 		h := newHarness(t, func(c *Config) {
 			c.Validators = 7
-			c.ReferenceQuorumTally = reference
+			c.referenceQuorumTally = reference
 		})
 		for i := 0; i < 20; i++ {
 			if err := h.pool.Add(stubTx{id: fmt.Sprintf("q%d", i), gas: 400}); err != nil {
@@ -646,8 +646,8 @@ func BenchmarkQuorumTally(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("reference-vals-%d", vals), func(b *testing.B) {
 			b.ReportAllocs()
-			h.eng.cfg.ReferenceQuorumTally = true
-			defer func() { h.eng.cfg.ReferenceQuorumTally = false }()
+			h.eng.cfg.referenceQuorumTally = true
+			defer func() { h.eng.cfg.referenceQuorumTally = false }()
 			for i := 0; i < b.N; i++ {
 				if _, ok := h.eng.quorumFor(rt); !ok {
 					b.Fatal("full round has no quorum")
@@ -655,4 +655,34 @@ func BenchmarkQuorumTally(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkVoteFanout measures block production as the validator set
+// grows. The shared vote-verification engine (internal/tendermint/votesig)
+// admits each honest vote when it is signed, so every delivery is a cache
+// hit and per-height curve work is the O(V) signing across the two
+// voting stages; the `vals-13-reference` variant runs the per-receiver
+// path (O(V^2) checks) as the regression anchor. Virtual results are
+// identical either way — blocks-per-vmin must not move.
+func BenchmarkVoteFanout(b *testing.B) {
+	run := func(b *testing.B, vals int, reference bool) {
+		for i := 0; i < b.N; i++ {
+			h := newHarness(b, func(c *Config) {
+				c.Validators = vals
+				c.referenceVoteVerify = reference
+			})
+			h.eng.Start()
+			if err := h.sched.RunUntil(60 * time.Second); err != nil {
+				b.Fatal(err)
+			}
+			if h.store.Height() == 0 {
+				b.Fatal("no blocks committed")
+			}
+			b.ReportMetric(float64(h.store.Height()), "blocks-per-vmin")
+		}
+	}
+	for _, vals := range []int{5, 9, 13} {
+		b.Run(fmt.Sprintf("vals-%d", vals), func(b *testing.B) { run(b, vals, false) })
+	}
+	b.Run("vals-13-reference", func(b *testing.B) { run(b, 13, true) })
 }

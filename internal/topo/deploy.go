@@ -27,10 +27,6 @@ type DeployConfig struct {
 	Network    netem.Config
 	Validators int
 	FullProofs bool
-	// ReferenceVoteVerify selects every chain's O(V^2) per-receiver vote
-	// verification path instead of the shared vote-verification engine
-	// (results are byte-identical; the counters differ).
-	ReferenceVoteVerify bool
 	// RelayersPerEdge is the default relayer count for edges that don't
 	// override it in their EdgeSpec.
 	RelayersPerEdge int
@@ -347,11 +343,10 @@ func Deploy(t Topology, cfg DeployConfig) (*Deployment, error) {
 			csched = par.Partition(i)
 		}
 		c := chain.New(csched, network, chain.Config{
-			ChainID:             t.ChainID(i),
-			Validators:          vals,
-			FullProofs:          cfg.FullProofs,
-			ReferenceVoteVerify: cfg.ReferenceVoteVerify,
-			Obs:                 cfg.Obs,
+			ChainID:    t.ChainID(i),
+			Validators: vals,
+			FullProofs: cfg.FullProofs,
+			Obs:        cfg.Obs,
 		})
 		if d.Geo != nil {
 			if err := validRegion(cfg.Geo, d.regions[i], t.ChainID(i)); err != nil {
@@ -498,9 +493,6 @@ func parallelLookahead(cfg DeployConfig) time.Duration {
 	}
 	return min
 }
-
-// Chain returns the deployed chain at node index i.
-func (d *Deployment) Chain(i int) *chain.Chain { return d.Chains[i] }
 
 // LinkBetween returns the deployed link between two node indices.
 func (d *Deployment) LinkBetween(a, b int) (*Link, bool) {

@@ -1,49 +1,6 @@
 package topo
 
-import (
-	"encoding/json"
-	"testing"
-)
-
-// TestSharedVoteVerifyByteIdenticalResult runs one scenario seed through
-// the shared vote-verification engine and the per-receiver reference
-// path: signature verification is wall-clock work, not virtual time, so
-// the serialized topo.Result must be byte-identical.
-func TestSharedVoteVerifyByteIdenticalResult(t *testing.T) {
-	run := func(reference bool) *Result {
-		sc := Scenario{
-			Name:      "votescale-ident",
-			Topology:  TwoChain(),
-			Deploy:    DeployConfig{Validators: 7, ReferenceVoteVerify: reference},
-			EdgeRates: map[int]int{0: 2},
-			Windows:   3,
-		}
-		res, err := sc.Run(123)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	shared := run(false)
-	reference := run(true)
-	sharedJSON, err := json.Marshal(shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, err := json.Marshal(reference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sharedJSON) != string(refJSON) {
-		t.Fatalf("same seed, different results:\nshared:    %s\nreference: %s", sharedJSON, refJSON)
-	}
-	if shared.Blocks == 0 || shared.BlocksPerSec <= 0 {
-		t.Fatalf("block production not recorded: blocks=%d blocks/s=%f", shared.Blocks, shared.BlocksPerSec)
-	}
-	if shared.Total[0] == 0 && len(shared.Edges) == 0 {
-		t.Fatal("empty result")
-	}
-}
+import "testing"
 
 // TestDeployValidatorsOverride pins the -validators axis: the deploy
 // config's set size reaches every chain's consensus engine.

@@ -10,7 +10,7 @@ import (
 )
 
 func testEnv(seed int64) (*chain.Testbed, *Generator, *metrics.Tracker) {
-	tb := chain.NewTestbed(chain.DefaultTestbed(seed))
+	tb := chain.NewTestbed(seed, false)
 	tracker := metrics.NewTracker()
 	node := tb.Pair.A.AddRPCNode(rpc.Config{})
 	g := New(tb.Sched, tb.RNG, tb.Pair, node, tracker)
