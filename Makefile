@@ -9,17 +9,17 @@ GO ?= go
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# check mirrors the CI test job's gates, including the example-spec
-# runs (every assertion must hold) and the trace smoke.
+# check mirrors the CI test job's gates, including the scenario
+# catalogue's lint and runs (every assertion must hold) and the trace
+# smoke.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -short ./...
-	for spec in examples/scenarios/*.json; do \
-		echo "== $$spec"; $(GO) run ./cmd/ibcbench run -scenario "$$spec" || exit 1; \
-	done
-	out=$$($(GO) run ./cmd/ibcbench trace -out trace_ci.json -summary -topology hub:3 -rate 3 -windows 2) || exit 1; \
+	$(GO) run ./cmd/ibcbench suite -lint
+	$(GO) run ./cmd/ibcbench suite
+	out=$$($(GO) run ./cmd/ibcbench trace -out trace_ci.json -summary -name hub) || exit 1; \
 	echo "$$out"; \
 	echo "$$out" | grep -q 'span tree'
 	$(GO) run ./cmd/ibcbench trace -validate trace_ci.json

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,23 +87,20 @@ func TestRunScenarioCmdFromFile(t *testing.T) {
 	}
 }
 
-// -print must emit the canonical encoding of the registered spec —
-// what a user commits to examples/ after tweaking a builtin.
+// -print must emit the catalogue file byte for byte: the files are
+// canonical, so `run -name X -print` and examples/scenarios/X.json
+// agree.
 func TestRunScenarioCmdPrint(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runScenarioCmd([]string{"-name", "failover", "-print"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := scenario.Lookup("failover")
-	if !ok {
-		t.Fatal("failover not registered")
-	}
-	want, err := scenario.Encode(e.Spec)
+	want, err := os.ReadFile("../../examples/scenarios/failover.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("-print output differs from canonical encoding:\n%s", buf.String())
+		t.Errorf("-print output differs from examples/scenarios/failover.json:\n%s", buf.String())
 	}
 }
 
@@ -129,20 +127,24 @@ func TestSuiteLint(t *testing.T) {
 	}
 }
 
+// TestSuiteShort runs `suite`: every catalogue spec, all short enough
+// for a smoke, must pass.
 func TestSuiteShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several scenarios")
 	}
 	var buf bytes.Buffer
-	if err := runSuiteCmd([]string{"-short"}, &buf); err != nil {
-		t.Fatalf("suite -short: %v\n%s", err, buf.String())
+	if err := runSuiteCmd(nil, &buf); err != nil {
+		t.Fatalf("suite: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "PASS quickstart") || !strings.Contains(out, "scenario(s) passed") {
-		t.Errorf("unexpected suite output:\n%s", out)
+	for _, want := range []string{"PASS quickstart", "PASS failover", "PASS timeoutstorm", "suite: 7 scenario(s) passed"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("suite output misses %q:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, "FAIL") {
-		t.Errorf("short suite reported a failure:\n%s", out)
+	if err := runSuiteCmd([]string{"-short"}, io.Discard); err == nil {
+		t.Error("suite accepted the removed -short flag")
 	}
 }
 
@@ -236,7 +238,7 @@ func TestTraceCmdLoop(t *testing.T) {
 	}
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	var buf bytes.Buffer
-	if err := runTraceCmd([]string{"-out", tracePath, "-topology", "two", "-rate", "2", "-windows", "1", "-seed", "7"}, &buf); err != nil {
+	if err := runTraceCmd([]string{"-out", tracePath, "-scenario", filepath.Join("testdata", "trace_two.json"), "-seed", "7"}, &buf); err != nil {
 		t.Fatalf("trace record: %v", err)
 	}
 	var check bytes.Buffer
@@ -253,7 +255,14 @@ func TestTraceCmdLoop(t *testing.T) {
 	if !strings.Contains(ana.String(), "span tree") {
 		t.Errorf("unexpected analyze output:\n%s", ana.String())
 	}
-	if err := runTraceCmd(nil, &bytes.Buffer{}); err == nil {
-		t.Error("no mode flag: expected usage error")
+	for _, args := range [][]string{
+		nil,
+		{"-summary"},
+		{"-summary", "-name", "no-such-scenario"},
+		{"-summary", "-name", "hub", "-topology", "hub:3"},
+	} {
+		if err := runTraceCmd(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("args %v: expected an error", args)
+		}
 	}
 }

@@ -11,20 +11,21 @@
 //	ibcbench sweep -experiment fig8 -seeds 5 # one artifact
 //	ibcbench sweep -experiment topo -topology hub:4 -rate 20
 //	ibcbench run -scenario spec.json         # one declarative scenario
-//	ibcbench run -name failover              # a built-in scenario
-//	ibcbench suite -short                    # smoke the scenario library
-//	ibcbench suite -lint                     # registry round-trip lint
+//	ibcbench run -name failover              # a catalogue scenario
+//	ibcbench suite                           # run the whole catalogue
+//	ibcbench suite -lint                     # lint the catalogue files
 //	ibcbench search -scenario spec.json -budget 32  # seeded chaos search
-//	ibcbench trace -out trace.json -topology hub:3  # Perfetto trace
+//	ibcbench trace -out trace.json -name hub        # Perfetto trace
 //	ibcbench trace -analyze trace.json -top 30      # flame/critical path
 //	ibcbench diff old.json new.json -fail-on-change 10
 //	ibcbench bench2json bench.txt -out BENCH.json
 //	ibcbench serve -store runs/ -addr :8321  # HTTP dashboard over a store
 //
 // Every invocation names a subcommand; a bare `ibcbench` or a leading
-// flag is an error that points at `ibcbench help`. Runnable examples
-// are the scenario specs under examples/scenarios (`ibcbench run
-// -scenario FILE`).
+// flag is an error that points at `ibcbench help`. The scenario
+// catalogue is the spec files under examples/scenarios, embedded in
+// the binary: `-name X` on run, search and trace reads
+// examples/scenarios/X.json, and `suite` runs them all.
 //
 // Sweeps fan (config, seed) executions out over a worker pool
 // (-workers, default GOMAXPROCS); results are identical to serial runs.
@@ -41,8 +42,8 @@ import (
 	"os"
 	"strings"
 
+	"ibcbench/examples"
 	"ibcbench/internal/experiments"
-	"ibcbench/internal/scenario"
 )
 
 func main() {
@@ -61,8 +62,8 @@ var subcommands = []struct {
 	{"run", "execute one declarative scenario spec (-scenario FILE | -name NAME) and check its assertions", runScenarioCmd},
 	{"sweep", "run the paper's experiments (-experiment NAME|all)", runSweep},
 	{"search", "seeded chaos search over a spec's declared fault space; shrinks violations to a minimal replay", runSearchCmd},
-	{"suite", "run (or -lint) every registered scenario and report assertion verdicts", runSuiteCmd},
-	{"trace", "record (-out), summarize (-summary), validate (-validate) or analyze (-analyze) a Chrome trace", runTraceCmd},
+	{"suite", "run (or -lint) every catalogue scenario and report assertion verdicts", runSuiteCmd},
+	{"trace", "record (-out) or summarize (-summary) one spec's traced run; validate (-validate) or analyze (-analyze) a Chrome trace", runTraceCmd},
 	{"diff", "compare two result documents metric by metric (old.json new.json [-fail-on-change pct])", runDiffCmd},
 	{"serve", "HTTP dashboard + ingest/queue API over an experiment store", runServe},
 	{"bench2json", "convert `go test -bench` output to a JSON metrics document", runBench2JSONCmd},
@@ -96,13 +97,6 @@ func printUsage(w io.Writer) {
 		fmt.Fprintf(w, "  %-11s %s\n", e.Name, e.Desc)
 	}
 	fmt.Fprintf(w, "  selectors: %s|all\n", strings.Join(experiments.Selectors(), "|"))
-	fmt.Fprintln(w, "\nscenarios (ibcbench run -name X; * = in `suite -short`):")
-	for _, name := range scenario.Names() {
-		e, _ := scenario.Lookup(name)
-		mark := " "
-		if e.Short {
-			mark = "*"
-		}
-		fmt.Fprintf(w, " %s%-11s %s\n", mark, name, e.Desc)
-	}
+	fmt.Fprintln(w, "\nscenarios (ibcbench run -name X; -print shows the spec, examples/scenarios/X.json):")
+	fmt.Fprintf(w, "  %s\n", strings.Join(examples.Names(), " "))
 }

@@ -1,8 +1,8 @@
 // The scenario entry points: `ibcbench run` executes one declarative
-// spec (a file or a registry name) and checks its assertions,
-// `ibcbench suite` runs the whole registered library, and `ibcbench
-// search` explores a spec's declared fault space for assertion
-// violations and shrinks what it finds to a minimal replay.
+// spec (a file or a catalogue name) and checks its assertions,
+// `ibcbench suite` runs the whole catalogue (examples/scenarios), and
+// `ibcbench search` explores a spec's declared fault space for
+// assertion violations and shrinks what it finds to a minimal replay.
 package main
 
 import (
@@ -13,36 +13,38 @@ import (
 	"os"
 	"strings"
 
+	"ibcbench/examples"
 	"ibcbench/internal/experiments"
 	"ibcbench/internal/metrics"
 	"ibcbench/internal/scenario"
 )
 
 // loadSpec resolves the shared -scenario/-name flag pair: a spec file
-// on disk or a registered scenario by name, exactly one of the two.
+// on disk or a catalogue scenario by name, exactly one of the two.
 func loadSpec(path, name string) (scenario.Spec, error) {
+	var data []byte
 	switch {
 	case path != "" && name != "":
 		return scenario.Spec{}, fmt.Errorf("ibcbench: -scenario and -name are mutually exclusive")
 	case path != "":
-		data, err := os.ReadFile(path)
-		if err != nil {
+		var err error
+		if data, err = os.ReadFile(path); err != nil {
 			return scenario.Spec{}, err
 		}
-		s, err := scenario.Parse(data)
-		if err != nil {
-			return scenario.Spec{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return s, nil
 	case name != "":
-		e, ok := scenario.Lookup(name)
-		if !ok {
-			return scenario.Spec{}, fmt.Errorf("ibcbench: unknown scenario %q (registered: %s)", name, strings.Join(scenario.Names(), ", "))
+		var ok bool
+		if data, ok = examples.File(name); !ok {
+			return scenario.Spec{}, fmt.Errorf("ibcbench: unknown scenario %q (catalogue: %s)", name, strings.Join(examples.Names(), ", "))
 		}
-		return e.Spec, nil
+		path = name
 	default:
 		return scenario.Spec{}, fmt.Errorf("ibcbench: need -scenario FILE or -name NAME")
 	}
+	s, err := scenario.Parse(data)
+	if err != nil {
+		return scenario.Spec{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }
 
 // runScenarioCmd executes one declarative scenario:
@@ -57,7 +59,7 @@ func runScenarioCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench run", flag.ContinueOnError)
 	var (
 		specPath  = fs.String("scenario", "", "scenario spec file (JSON)")
-		name      = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
+		name      = fs.String("name", "", "catalogue scenario name (see `ibcbench help`)")
 		seed      = fs.Int64("seed", 0, "override the spec's run seed (0 = spec seed, default 1)")
 		outPath   = fs.String("out", "", "write the full report (spec, result, verdicts) as JSON to this file")
 		storeDir  = fs.String("store", "", "archive the report into this experiment-store directory")
@@ -111,27 +113,27 @@ func runScenarioCmd(args []string, w io.Writer) error {
 	return nil
 }
 
-// runSuiteCmd runs every registered scenario and reports one verdict
+// runSuiteCmd runs every catalogue scenario and reports one verdict
 // line each:
 //
-//	ibcbench suite [-short] [-seed N] [-workers N]
-//	ibcbench suite -lint     # round-trip/compile lint only, no runs
+//	ibcbench suite [-seed N] [-workers N]
+//	ibcbench suite -lint     # lint every catalogue file, no runs
 func runSuiteCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench suite", flag.ContinueOnError)
 	var (
-		short   = fs.Bool("short", false, "run only the scenarios marked cheap enough for smoke suites")
-		lint    = fs.Bool("lint", false, "lint the registry (validate, compile, canonical round trip) without running anything")
+		lint    = fs.Bool("lint", false, "lint the catalogue (parse, compile, name equals file stem, canonical bytes) without running anything")
 		seed    = fs.Int64("seed", 0, "override every spec's run seed (0 = each spec's own)")
 		workers = fs.Int("workers", 0, "scenario worker pool size (0 = all cores, 1 = serial)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := scenario.Names()
+	names := examples.Names()
 	if *lint {
 		failed := 0
 		for _, n := range names {
-			if err := scenario.Lint(n); err != nil {
+			data, _ := examples.File(n)
+			if err := scenario.Lint(n, data); err != nil {
 				failed++
 				fmt.Fprintf(w, "lint %s: %v\n", n, err)
 				continue
@@ -144,22 +146,16 @@ func runSuiteCmd(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "suite: %d scenario(s) lint clean\n", len(names))
 		return nil
 	}
-	if *short {
-		kept := names[:0]
-		for _, n := range names {
-			if e, _ := scenario.Lookup(n); e.Short {
-				kept = append(kept, n)
-			}
-		}
-		names = kept
-	}
 	type verdict struct {
 		rep *scenario.Report
 		err error
 	}
 	verdicts := experiments.ParallelMap(names, *workers, func(n string) verdict {
-		e, _ := scenario.Lookup(n)
-		rep, err := scenario.Run(e.Spec, *seed)
+		s, err := loadSpec("", n)
+		if err != nil {
+			return verdict{nil, err}
+		}
+		rep, err := scenario.Run(s, *seed)
 		return verdict{rep, err}
 	})
 	failed := 0
@@ -199,7 +195,7 @@ func runSearchCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench search", flag.ContinueOnError)
 	var (
 		specPath     = fs.String("scenario", "", "scenario spec file (JSON) with a faults block")
-		name         = fs.String("name", "", "registered scenario name (see `ibcbench help`)")
+		name         = fs.String("name", "", "catalogue scenario name (see `ibcbench help`)")
 		budget       = fs.Int("budget", 0, "candidate timelines to generate and run (0 = 16)")
 		seed         = fs.Int64("seed", 0, "timeline-generator seed (0 = 1); the run seed comes from the spec")
 		shrinkBudget = fs.Int("shrink-budget", 0, "extra runs the minimizer may spend (0 = 64)")

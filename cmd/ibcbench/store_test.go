@@ -9,8 +9,9 @@ import (
 )
 
 // TestStoreFlagArchivesRuns drives the CLI auto-archival path end to
-// end: two topo runs and one traced run land in the same store, the
-// traced run carries a validated trace plus provenance, and the trend
+// end: two topo runs and one traced run of the hub spec land in the
+// same store, the traced run carries a validated trace plus provenance
+// and its spec (seed included) as the config header, and the trend
 // across the archived documents is readable.
 func TestStoreFlagArchivesRuns(t *testing.T) {
 	if testing.Short() {
@@ -25,7 +26,7 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 		t.Fatalf("second archived run: %v", err)
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	if err := run([]string{"trace", "-out", trace, "-topology", "hub:3", "-rate", "3", "-windows", "2", "-store", dir}); err != nil {
+	if err := run([]string{"trace", "-out", trace, "-name", "hub", "-store", dir}); err != nil {
 		t.Fatalf("traced archived run: %v", err)
 	}
 
@@ -42,6 +43,7 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 	for i := range runs {
 		if runs[i].Kind == "trace" {
 			traced = &runs[i]
+			continue
 		}
 		if runs[i].Config["topology"] != "hub:3" {
 			t.Errorf("run %s config header not lifted: %v", runs[i].ID, runs[i].Config)
@@ -49,6 +51,9 @@ func TestStoreFlagArchivesRuns(t *testing.T) {
 	}
 	if traced == nil {
 		t.Fatal("no trace-kind run archived")
+	}
+	if tp, _ := traced.Config["topology"].(map[string]any); tp["preset"] != "hub:3" || traced.Seed != 500 {
+		t.Errorf("traced run's spec header not lifted (seed %d): %v", traced.Seed, traced.Config)
 	}
 	if !traced.HasTrace() || !*traced.TraceValid {
 		t.Fatalf("traced run missing valid trace badge: %+v", traced)

@@ -1,10 +1,11 @@
 // Trace export, validation, and analysis: `trace -out` runs one
-// instrumented scenario and writes a Chrome trace-event file (load it
-// at ui.perfetto.dev or chrome://tracing), -summary prints that run's
-// traceview flame span tree with total/self time per subsystem (-top
-// caps the table), -validate structurally checks an exported file (the
-// CI smoke step runs it against a short hub run), and -analyze runs the
-// traceview flame/critical-path analytics over an exported file.
+// scenario spec instrumented and writes a Chrome trace-event file (load
+// it at ui.perfetto.dev or chrome://tracing), -summary prints that
+// run's traceview flame span tree with total/self time per subsystem
+// (-top caps the table), -validate structurally checks an exported
+// file (the CI smoke step runs it against the hub spec's trace), and
+// -analyze runs the traceview flame/critical-path analytics over an
+// exported file.
 package main
 
 import (
@@ -17,8 +18,8 @@ import (
 	"time"
 
 	"ibcbench/internal/experiments"
-	"ibcbench/internal/netem"
 	"ibcbench/internal/obs"
+	"ibcbench/internal/scenario"
 	"ibcbench/internal/topo"
 	"ibcbench/internal/tracecheck"
 	"ibcbench/internal/traceview"
@@ -26,25 +27,22 @@ import (
 
 // runTraceCmd is the trace subcommand, covering all four trace modes:
 //
-//	ibcbench trace -out trace.json -topology hub:3 [-summary] [-store DIR]
-//	ibcbench trace -summary -topology hub:3     # tables only, no file
-//	ibcbench trace -validate trace.json         # structural check
-//	ibcbench trace -analyze trace.json -top 30  # flame + critical path
+//	ibcbench trace -out trace.json -name hub [-summary] [-store DIR]
+//	ibcbench trace -summary -scenario spec.json  # tables only, no file
+//	ibcbench trace -validate trace.json          # structural check
+//	ibcbench trace -analyze trace.json -top 30   # flame + critical path
 func runTraceCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ibcbench trace", flag.ContinueOnError)
 	var (
-		outPath    = fs.String("out", "", "write the instrumented run's Chrome trace-event file (Perfetto-loadable) here")
-		summary    = fs.Bool("summary", false, "print the run's flame span tree with total/self time per subsystem")
-		checkPath  = fs.String("validate", "", "structurally validate this exported trace file and exit")
-		anaPath    = fs.String("analyze", "", "analyze this exported trace file (flame tree + critical-path tables) and exit")
-		topN       = fs.Int("top", 20, "row cap for -summary and -analyze tables (0 = unlimited)")
-		topology   = fs.String("topology", "hub:4", "instrumented scenario graph: two|line:n|hub:n|mesh:n")
-		rate       = fs.Int("rate", 20, "per-edge input rate (rps)")
-		forwarding = fs.Bool("forwarding", false, "route multi-hop traffic through the packet-forward middleware")
-		seed       = fs.Int64("seed", 42, "RNG seed of the traced run")
-		windows    = fs.Int("windows", 0, "submission block windows (0 = paper default)")
-		regions    = fs.String("regions", "", "geo region preset: 3wan|hubspoke:n|uniform:k (\"\" = uniform WAN)")
-		storeDir   = fs.String("store", "", "archive the traced result (trace attached) into this experiment-store directory")
+		outPath   = fs.String("out", "", "write the instrumented run's Chrome trace-event file (Perfetto-loadable) here")
+		summary   = fs.Bool("summary", false, "print the run's flame span tree with total/self time per subsystem")
+		checkPath = fs.String("validate", "", "structurally validate this exported trace file and exit")
+		anaPath   = fs.String("analyze", "", "analyze this exported trace file (flame tree + critical-path tables) and exit")
+		topN      = fs.Int("top", 20, "row cap for -summary and -analyze tables (0 = unlimited)")
+		specPath  = fs.String("scenario", "", "scenario spec file (JSON) to run instrumented")
+		name      = fs.String("name", "", "catalogue scenario name (see `ibcbench help`)")
+		seed      = fs.Int64("seed", 0, "override the spec's run seed (0 = spec seed, default 1)")
+		storeDir  = fs.String("store", "", "archive the traced result (trace attached) into this experiment-store directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,34 +54,31 @@ func runTraceCmd(args []string, w io.Writer) error {
 		return runTraceAnalyze(*anaPath, *topN, w)
 	}
 	if *outPath == "" && !*summary && *storeDir == "" {
-		return fmt.Errorf("usage: ibcbench trace -out trace.json|-summary|-validate FILE|-analyze FILE [flags]")
+		return fmt.Errorf("usage: ibcbench trace -out trace.json|-summary (-scenario FILE|-name NAME) [flags] | -validate FILE | -analyze FILE")
 	}
-	opt := experiments.Options{Seeds: 1, Windows: *windows, Regions: *regions}
-	cfg := map[string]any{
-		"experiment": "trace", "seeds": 1, "windows": *windows,
-		"transfers": 0, "seed": *seed, "topology": *topology,
-		"rate": *rate, "regions": *regions, "forwarding": *forwarding,
-		"validators": "", "parallel": 0,
-		"netem": netem.DefaultWAN(),
+	s, err := loadSpec(*specPath, *name)
+	if err != nil {
+		return err
 	}
-	return runTrace(opt, *topology, *rate, *forwarding, *seed, *outPath, *summary, *topN, *storeDir, cfg, w)
+	return runTrace(s, *seed, *outPath, *summary, *topN, *storeDir, w)
 }
 
-// runTrace executes one seed of the topo scenario with observability
-// attached, optionally writes the Chrome trace and/or prints the flame
-// span tree, and renders the run result like a plain topo run would.
+// runTrace executes one spec (lowered by scenario.Compile) at the given
+// seed (0 = the spec's own) with observability attached, optionally
+// writes the Chrome trace and/or prints the flame span tree, and
+// renders the run result. Assertions are not checked; `run` does that.
 // With storeDir the result is archived (provenance-stamped) with the
 // trace attached, validated and badged exactly like a server-side
-// ingest.
-func runTrace(opt experiments.Options, topology string, rate int, forwarded bool,
-	seed int64, tracePath string, summary bool, top int, storeDir string, cfg map[string]any, w io.Writer) error {
-	sc, err := experiments.BuildTopologyScenario(opt, topology, rate, forwarded)
+// ingest; its config header is the spec that ran, seed included.
+func runTrace(s scenario.Spec, seed int64, tracePath string, summary bool, top int, storeDir string, w io.Writer) error {
+	sc, err := scenario.Compile(s)
 	if err != nil {
 		return err
 	}
 	o := obs.New()
 	sc.Deploy.Obs = o
-	res, err := sc.Run(seed)
+	s.Seed = s.RunSeed(seed)
+	res, err := sc.Run(s.Seed)
 	if err != nil {
 		return err
 	}
@@ -111,7 +106,7 @@ func runTrace(opt experiments.Options, topology string, rate int, forwarded bool
 			GoVersion: meta.GoVersion,
 			Time:      time.Now().UTC().Format(time.RFC3339),
 		}
-		payload, err := json.MarshalIndent(map[string]any{"config": cfg, "result": res}, "", "  ")
+		payload, err := json.MarshalIndent(map[string]any{"config": s, "result": res}, "", "  ")
 		if err != nil {
 			return fmt.Errorf("marshal traced result: %w", err)
 		}

@@ -8,18 +8,17 @@ import (
 	"strings"
 	"testing"
 
-	"ibcbench/internal/experiments"
+	"ibcbench/internal/traceview"
 )
 
-// TestTraceExportRoundTrip runs the CLI's trace path end to end: a short
-// instrumented hub run exports a Chrome trace that the structural
-// validator accepts, and the summary table names the expected
-// subsystems.
+// TestTraceExportRoundTrip runs the CLI's trace path end to end: the
+// hub catalogue spec's instrumented run exports a Chrome trace that the
+// structural validator accepts, and the summary table names the
+// expected subsystems.
 func TestTraceExportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out bytes.Buffer
-	opt := experiments.Options{Seeds: 1, Windows: 2}
-	if err := runTrace(opt, "hub:3", 3, false, 7, path, true, 20, "", nil, &out); err != nil {
+	if err := runTraceCmd([]string{"-name", "hub", "-out", path, "-summary"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var check bytes.Buffer
@@ -29,7 +28,7 @@ func TestTraceExportRoundTrip(t *testing.T) {
 	if !strings.Contains(check.String(), "OK") {
 		t.Fatalf("validator output %q", check.String())
 	}
-	for _, want := range []string{"chain", "relayer", "block", "scan"} {
+	for _, want := range []string{"== scenario hub (seed 500)", "chain", "relayer", "block", "scan"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("summary misses %q:\n%s", want, out.String())
 		}
@@ -37,11 +36,12 @@ func TestTraceExportRoundTrip(t *testing.T) {
 }
 
 // TestTraceSummaryGolden pins the `trace -summary` rendering — the run
-// report followed by the traceview flame span tree — byte for byte.
-// Refresh with UPDATE_GOLDEN=1 after an intentional change.
+// report followed by the traceview flame span tree — byte for byte, for
+// the two-chain spec in testdata/trace_two.json at seed 7. Refresh with
+// UPDATE_GOLDEN=1 after an intentional change.
 func TestTraceSummaryGolden(t *testing.T) {
 	var out bytes.Buffer
-	if err := runTraceCmd([]string{"-summary", "-topology", "two", "-rate", "2", "-windows", "1", "-seed", "7"}, &out); err != nil {
+	if err := runTraceCmd([]string{"-summary", "-scenario", filepath.Join("testdata", "trace_two.json"), "-seed", "7"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "trace_summary.golden")
@@ -60,14 +60,13 @@ func TestTraceSummaryGolden(t *testing.T) {
 	}
 }
 
-// TestTraceAnalyzeRoundTrip: an exported forwarded-route trace feeds
-// the `trace -analyze` path, which prints the flame span tree and the
-// critical-path tables deterministically.
+// TestTraceAnalyzeRoundTrip: the pfmroute spec's trace (sequential and
+// forwarded routes over line:3) feeds the `trace -analyze` path, which
+// prints the flame span tree and the critical-path tables, forwarded
+// hops included, deterministically.
 func TestTraceAnalyzeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	var out bytes.Buffer
-	opt := experiments.Options{Seeds: 1, Windows: 2}
-	if err := runTrace(opt, "line:3", 3, true, 7, path, false, 20, "", nil, &out); err != nil {
+	if err := runTraceCmd([]string{"-name", "pfmroute", "-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	analyze := func() string {
@@ -85,6 +84,21 @@ func TestTraceAnalyzeRoundTrip(t *testing.T) {
 	}
 	if got != analyze() {
 		t.Fatal("same trace produced different analysis output")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := traceview.FromChrome(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarded := false
+	for _, g := range traceview.CriticalPath(events).Groups {
+		forwarded = forwarded || g.Hop > 0
+	}
+	if !forwarded {
+		t.Error("critical path has no forwarded hop")
 	}
 	if err := runTraceAnalyze(filepath.Join(t.TempDir(), "missing.json"), 15, io.Discard); err == nil {
 		t.Fatal("analyzer accepted a missing file")

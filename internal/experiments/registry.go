@@ -8,9 +8,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
+
+	"ibcbench/internal/topo"
 )
 
 // RunContext carries the flag-derived inputs shared by every
@@ -309,11 +310,11 @@ func runMeshScale(ctx RunContext) error {
 	// and reports the wall-clock speedup curve.
 	chains := DefaultMeshScaleChains
 	if strings.HasPrefix(ctx.Topology, "mesh:") {
-		n, err := strconv.Atoi(strings.TrimPrefix(ctx.Topology, "mesh:"))
-		if err != nil || n < 2 {
-			return fmt.Errorf("ibcbench: -experiment meshscale needs -topology mesh:n with n >= 2 (got %q)", ctx.Topology)
+		tp, err := topo.ParseSpec(ctx.Topology)
+		if err != nil {
+			return fmt.Errorf("ibcbench: -experiment meshscale: %w", err)
 		}
-		chains = []int{n}
+		chains = []int{len(tp.Chains)}
 	}
 	res, err := MeshScale(ctx.Opt, chains, ctx.Parallel)
 	if err != nil {

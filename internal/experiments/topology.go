@@ -30,9 +30,9 @@ type TopologyResult struct {
 // BuildTopologyScenario assembles the sweep's scenario for one topology
 // spec and per-edge rate without running it: every edge sustains `rate`
 // requests/second for the configured windows, plus the demo multi-hop
-// route on graphs that have one. Exported so single-run drivers (the
-// CLI's trace exporter, the tracer-overhead benchmark) execute exactly
-// the workload the sweep measures.
+// route on graphs that have one. Exported so the tracer-overhead
+// benchmark runs exactly the workload the sweep measures, and so the
+// scenario package can pin a spec's run against it.
 func BuildTopologyScenario(opt Options, spec string, rate int, forwarded bool) (topo.Scenario, error) {
 	tp, err := topo.ParseSpec(spec)
 	if err != nil {

@@ -171,9 +171,16 @@ func Uniform(k int, oneWay time.Duration) *Model {
 	return m
 }
 
+// MaxPresetSize bounds the size argument of every sized preset string:
+// geo's hubspoke:n and uniform:k, and topo's line:n, hub:n and mesh:n.
+// Presets arrive from outside input (spec files, the dashboard's queue
+// API), and uniform and mesh grow quadratically in their size; the
+// largest used anywhere is mesh:8.
+const MaxPresetSize = 64
+
 // ParseSpec parses a CLI region preset: "3wan" (three-region WAN),
-// "hubspoke:<n>" or "uniform:<k>". Empty and "none" return nil (no
-// region model).
+// "hubspoke:<n>" or "uniform:<k>", with n, k <= MaxPresetSize. Empty
+// and "none" return nil (no region model).
 func ParseSpec(s string) (*Model, error) {
 	spec := strings.TrimSpace(strings.ToLower(s))
 	if spec == "" || spec == "none" {
@@ -183,8 +190,8 @@ func ParseSpec(s string) (*Model, error) {
 	n := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("geo: bad size %q in region spec %q", arg, s)
+		if err != nil || v < 1 || v > MaxPresetSize {
+			return nil, fmt.Errorf("geo: bad size %q in region spec %q (want 1..%d)", arg, s, MaxPresetSize)
 		}
 		n = v
 	}

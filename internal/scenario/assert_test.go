@@ -63,15 +63,11 @@ func TestCleanRunHoldsAllAssertions(t *testing.T) {
 	}
 }
 
-// TestTimeoutRefundsHold: the timeoutstorm builtin forces mid-route hop
+// TestTimeoutRefundsHold: the timeoutstorm spec forces mid-route hop
 // timeouts; once quiescent, every refund must have unwound (and the
 // conservation invariant must survive the unwinding).
 func TestTimeoutRefundsHold(t *testing.T) {
-	e, ok := Lookup("timeoutstorm")
-	if !ok {
-		t.Fatal("timeoutstorm builtin missing")
-	}
-	rep, err := Run(e.Spec, 0)
+	rep, err := Run(catalogueSpec(t, "timeoutstorm"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +81,7 @@ func TestTimeoutRefundsHold(t *testing.T) {
 // their traces through both links without reporting violations (a
 // mis-mapped counterparty channel would flag every voucher).
 func TestConservationSeesVouchers(t *testing.T) {
-	e, ok := Lookup("pfmroute")
-	if !ok {
-		t.Fatal("pfmroute builtin missing")
-	}
-	rep, err := Run(e.Spec, 0)
+	rep, err := Run(catalogueSpec(t, "pfmroute"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,7 @@ func Run(s Spec, seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if seed == 0 {
-		seed = s.Seed
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	res, dep, err := sc.RunDeployed(seed)
+	res, dep, err := sc.RunDeployed(s.RunSeed(seed))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

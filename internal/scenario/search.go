@@ -168,6 +168,8 @@ func generateTimeline(rng *sim.RNG, s Spec, fs faultSpace) []EventSpec {
 	return events
 }
 
+func intp(i int) *int { return &i }
+
 // runWith executes the spec with a replacement chaos timeline and
 // reports the assertion verdicts.
 func runWith(s Spec, events []EventSpec) ([]Violation, error) {

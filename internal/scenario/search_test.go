@@ -95,11 +95,7 @@ func TestSearchDeterminism(t *testing.T) {
 // TestSearchNeedsFaultSpace: specs without a declared space refuse to
 // search instead of guessing one.
 func TestSearchNeedsFaultSpace(t *testing.T) {
-	e, ok := Lookup("quickstart")
-	if !ok {
-		t.Fatal("quickstart builtin missing")
-	}
-	if _, err := Search(e.Spec, SearchOptions{Budget: 1}); err == nil {
+	if _, err := Search(catalogueSpec(t, "quickstart"), SearchOptions{Budget: 1}); err == nil {
 		t.Fatal("search without a fault space succeeded")
 	}
 }

@@ -234,6 +234,43 @@ func Encode(s Spec) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// Lint checks one spec file of the catalogue (examples/scenarios) the
+// way `ibcbench suite -lint` does: it parses, it compiles, its name
+// equals its file stem, and it is canonical, so Encode(Parse(data))
+// reproduces data byte for byte.
+func Lint(stem string, data []byte) error {
+	s, err := Parse(data)
+	if err != nil {
+		return err
+	}
+	if _, err := Compile(s); err != nil {
+		return err
+	}
+	if s.Name != stem {
+		return fmt.Errorf("scenario: spec name %q differs from its file stem %q", s.Name, stem)
+	}
+	enc, err := Encode(s)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(enc, data) {
+		return fmt.Errorf("scenario: %s is not canonical (rewrite it with `ibcbench run -scenario FILE -print`)", stem)
+	}
+	return nil
+}
+
+// RunSeed resolves the seed a run uses: override when nonzero, else the
+// spec's own seed, else 1.
+func (s Spec) RunSeed(override int64) int64 {
+	switch {
+	case override != 0:
+		return override
+	case s.Seed != 0:
+		return s.Seed
+	}
+	return 1
+}
+
 // DefaultAssertions is the invariant set checked when a spec names none.
 func DefaultAssertions() []string {
 	return []string{AssertConservation, AssertNoStuckPackets, AssertTimeoutRefunds}

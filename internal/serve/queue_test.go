@@ -9,7 +9,7 @@ import (
 )
 
 // quickSpec is a tiny scenario the queue worker can run in well under a
-// second — the quickstart builtin's canonical form.
+// second — examples/scenarios/quickstart.json under another name.
 const quickSpec = `{
   "name": "queued-quickstart",
   "topology": {"preset": "two"},
@@ -111,6 +111,8 @@ func TestQueueRejectsBadSpecs(t *testing.T) {
 		{"not json", "", "{nope"},
 		{"unknown field", "", `{"name":"x","topology":{"preset":"two"},"bogus":1}`},
 		{"invalid topology", "", `{"name":"x","topology":{"preset":"ring:9"},"workload":{"rate":1,"windows":1}}`},
+		{"oversized preset", "", `{"name":"x","topology":{"preset":"mesh:100000"}}`},
+		{"oversized regions", "", `{"name":"x","topology":{"preset":"two"},"regions":"uniform:100000"}`},
 		{"bad seed", "?seed=notanumber", quickSpec},
 	}
 	for _, c := range cases {

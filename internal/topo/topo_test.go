@@ -52,6 +52,7 @@ func TestParseSpec(t *testing.T) {
 		"line:3": "line:3",
 		"hub:4":  "hub:4",
 		"mesh:3": "mesh:3",
+		"hub:64": "hub:64",
 	} {
 		tp, err := ParseSpec(spec)
 		if err != nil {
@@ -61,7 +62,7 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("%s parsed as %s", spec, tp.Name)
 		}
 	}
-	for _, spec := range []string{"", "ring:4", "hub", "line:1", "mesh:x"} {
+	for _, spec := range []string{"", "ring:4", "hub", "line:1", "mesh:x", "mesh:65", "line:1000000"} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)
 		}

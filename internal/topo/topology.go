@@ -195,14 +195,14 @@ func (t Topology) Route(from, to int) ([]int, error) {
 }
 
 // ParseSpec parses a CLI topology spec: "two", "line:<n>", "hub:<spokes>"
-// or "mesh:<n>".
+// or "mesh:<n>", with sizes up to geo.MaxPresetSize.
 func ParseSpec(s string) (Topology, error) {
 	kind, arg, hasArg := strings.Cut(strings.TrimSpace(strings.ToLower(s)), ":")
 	n := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
-		if err != nil || v < 1 {
-			return Topology{}, fmt.Errorf("topo: bad size %q in spec %q", arg, s)
+		if err != nil || v < 1 || v > geo.MaxPresetSize {
+			return Topology{}, fmt.Errorf("topo: bad size %q in spec %q (want 1..%d)", arg, s, geo.MaxPresetSize)
 		}
 		n = v
 	}
